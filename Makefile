@@ -27,7 +27,7 @@ bench:
 # The CI-gated microbenchmarks, with stable sampling.
 bench-micro:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 0.3s -count 6 \
-		./internal/sim ./internal/stats ./internal/server ./internal/cluster
+		./internal/sim ./internal/stats ./internal/server ./internal/cluster ./internal/runner
 
 # CPU-profile one benchmark (default BenchmarkRunService) and open the
 # top. Narrow with BENCH=... PKG=..., drill down with:
@@ -50,7 +50,7 @@ profile-mem:
 # dated BENCH_<date>.json snapshot (the same artifact CI uploads).
 bench-json:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 0.3s -count 6 \
-		./internal/sim ./internal/stats ./internal/server ./internal/cluster \
+		./internal/sim ./internal/stats ./internal/server ./internal/cluster ./internal/runner \
 		| tee $(PROF_DIR)/bench-micro.txt
 	$(GO) run ./cmd/benchgate -new $(PROF_DIR)/bench-micro.txt \
 		-emit BENCH_$$(date -u +%F).json

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/runner"
 	"repro/internal/server"
@@ -61,27 +62,70 @@ type timelineClass struct {
 // healthy runs) are part of each interval and therefore of the class
 // key, so a faulted node can never collapse with a healthy one.
 func classifyTimelines(c resolvedScenario, plan []epochWindow, faults [][]runner.Fault) []timelineClass {
-	classes := make([]timelineClass, 0, 16)
-	index := make(map[string]int, len(c.Nodes))
-	for i := range c.Nodes {
-		intervals := make([]runner.Interval, len(plan))
+	// One scratch interval list serves every node's key; a class copies
+	// out its representative's list only once it exists.
+	scratch := make([]runner.Interval, len(plan))
+	specOf := func(i int) runner.TimelineSpec {
 		for e, pw := range plan {
-			intervals[e] = runner.Interval{Window: pw.end - pw.start, Rate: pw.rates[i]}
+			scratch[e] = runner.Interval{Window: pw.end - pw.start, Rate: pw.rates[i]}
 			if faults != nil {
-				intervals[e].Fault = faults[e][i]
+				scratch[e].Fault = faults[e][i]
 			}
 		}
-		spec := runner.TimelineSpec{Node: c.Nodes[i], Park: c.ParkDrained, Intervals: intervals}
-		if key, ok := runner.TimelineKey(spec); ok {
-			if ci, seen := index[key]; seen {
-				classes[ci].members = append(classes[ci].members, i)
-				continue
-			}
-			index[key] = len(classes)
-		}
-		classes = append(classes, timelineClass{rep: i, members: []int{i}, spec: spec})
+		return runner.TimelineSpec{Node: c.Nodes[i], Park: c.ParkDrained, Intervals: scratch}
+	}
+	groups := groupByKey(len(c.Nodes), func(buf []byte, i int) ([]byte, bool) {
+		return runner.AppendTimelineKey(buf, specOf(i))
+	})
+	classes := make([]timelineClass, len(groups))
+	for ci, members := range groups {
+		spec := specOf(members[0])
+		spec.Intervals = slices.Clone(spec.Intervals)
+		classes[ci] = timelineClass{rep: members[0], members: members, spec: spec}
 	}
 	return classes
+}
+
+// groupByKey partitions nodes 0..n-1 into classes of equal key, in
+// first-member order, each class listing its members in fleet order.
+// key appends node i's key to buf and reports false for a node that
+// cannot prove equivalence, which stays a singleton. Keys are encoded
+// into one reused buffer and a map lookup on string(buf) does not
+// allocate, so the work allocates per class, not per node: a fleet of a
+// million identical nodes allocates what a fleet of ten does, plus two
+// n-length index slices.
+func groupByKey(n int, key func(buf []byte, i int) ([]byte, bool)) [][]int {
+	classOf := make([]int, n)
+	var sizes []int
+	index := make(map[string]int)
+	var buf []byte
+	for i := 0; i < n; i++ {
+		var ok bool
+		if buf, ok = key(buf[:0], i); ok {
+			if ci, seen := index[string(buf)]; seen {
+				classOf[i] = ci
+				sizes[ci]++
+				continue
+			}
+			index[string(buf)] = len(sizes)
+		}
+		classOf[i] = len(sizes)
+		sizes = append(sizes, 1)
+	}
+	// Carve every member list out of one backing array; the capacity
+	// bound makes a later append to one class reallocate rather than
+	// overwrite its neighbour.
+	backing := make([]int, n)
+	groups := make([][]int, len(sizes))
+	off := 0
+	for ci, size := range sizes {
+		groups[ci] = backing[off : off : off+size]
+		off += size
+	}
+	for i, ci := range classOf {
+		groups[ci] = append(groups[ci], i)
+	}
+	return groups
 }
 
 // runClasses executes every class representative plus its k seeded

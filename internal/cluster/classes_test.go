@@ -36,6 +36,62 @@ func approxEq(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
 }
 
+// classifyFixture resolves and plans BenchmarkRunScenario100K's day
+// (24 x 2ms diurnal epochs, spread, park) for an n-node fleet: shared
+// seeds collapse it to one timeline class, distinct seeds leave n.
+func classifyFixture(tb testing.TB, n int, shared bool) (resolvedScenario, []epochWindow) {
+	tb.Helper()
+	node := quickNode(0)
+	nodes := Homogeneous(n, node)
+	if shared {
+		nodes = sharedFleet(n, node)
+	}
+	sched, err := scenario.Diurnal(float64(n)*800e3, 0.6, 48*sim.Millisecond, 12)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c, err := ScenarioConfig{
+		Nodes:       nodes,
+		Schedule:    sched,
+		Epoch:       2 * sim.Millisecond,
+		Dispatch:    DispatchSpread,
+		ParkDrained: true,
+	}.Normalize()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	part, err := partitioner(c.Dispatch)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c, planEpochs(c, part, c.total)
+}
+
+// TestClassifyAllocatesPerClass pins that classification allocates per
+// class, not per node: a shared-seed fleet costs the same allocations
+// at 1K nodes as at 16K, and each further class costs a bounded few.
+func TestClassifyAllocatesPerClass(t *testing.T) {
+	allocs := func(n int, shared bool) float64 {
+		c, plan := classifyFixture(t, n, shared)
+		wantClasses := n
+		if shared {
+			wantClasses = 1
+		}
+		if got := len(classifyTimelines(c, plan, nil)); got != wantClasses {
+			t.Fatalf("%d nodes (shared=%v) formed %d classes, want %d", n, shared, got, wantClasses)
+		}
+		return testing.AllocsPerRun(3, func() { classifyTimelines(c, plan, nil) })
+	}
+	small, large := allocs(1_000, true), allocs(16_000, true)
+	if small != large || large > 32 {
+		t.Errorf("one class costs %v allocs at 1K nodes and %v at 16K, want equal and at most 32", small, large)
+	}
+	d1, d2 := allocs(500, false), allocs(1_000, false)
+	if perClass := (d2 - d1) / 500; perClass > 4 {
+		t.Errorf("each distinct class costs %.1f allocs, want at most 4", perClass)
+	}
+}
+
 // TestSharedSeedSpreadCollapsesToOneClass is the tentpole's happy path:
 // a shared-seed fleet under spread dispatch is one equivalence class,
 // every expanded node result is the representative's, and the compact

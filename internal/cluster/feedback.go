@@ -49,17 +49,12 @@ type liveClass struct {
 // equivalence by key and stay singletons, exactly as in the open-loop
 // classifier.
 func initialLiveClasses(c resolvedScenario) []*liveClass {
-	classes := make([]*liveClass, 0, 16)
-	index := make(map[string]int, len(c.Nodes))
-	for i := range c.Nodes {
-		if key, ok := runner.Key(c.Nodes[i]); ok {
-			if ci, seen := index[key]; seen {
-				classes[ci].members = append(classes[ci].members, i)
-				continue
-			}
-			index[key] = len(classes)
-		}
-		classes = append(classes, &liveClass{rep: i, members: []int{i}, node: c.Nodes[i]})
+	groups := groupByKey(len(c.Nodes), func(buf []byte, i int) ([]byte, bool) {
+		return runner.AppendKey(buf, c.Nodes[i])
+	})
+	classes := make([]*liveClass, len(groups))
+	for ci, members := range groups {
+		classes[ci] = &liveClass{rep: members[0], members: members, node: c.Nodes[members[0]]}
 	}
 	return classes
 }

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -226,6 +228,27 @@ func TestLiveSnapshotRestore(t *testing.T) {
 				t.Errorf("restored fleet diverged from original\noriginal %+v\nrestored %+v", ores, rres)
 			}
 		})
+	}
+}
+
+// TestLiveSnapshotBytesPinned pins a fleet checkpoint byte for byte,
+// recorded from the build that introduced the format: checkpoints carry
+// no migration, so one written earlier restores only while the fleet
+// and per-instance encodings stay identical.
+func TestLiveSnapshotBytesPinned(t *testing.T) {
+	l := mustLive(t, liveScenario())
+	for i := 0; i < 3; i++ {
+		if _, err := l.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blob, err := l.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "f7bf5cff47789483d0378175c81f28179d89b5901fb557e6df463a7429d9cd78"
+	if got := fmt.Sprintf("%x", sha256.Sum256(blob)); got != want {
+		t.Errorf("fleet snapshot sha256 = %s, want %s", got, want)
 	}
 }
 

@@ -126,3 +126,24 @@ func BenchmarkRunScenario100K(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkClassifyTimelines measures the timeline-class pass alone on
+// BenchmarkRunScenario100K's 100K-node day: shared seeds (one class, so
+// the cost is per-node key encoding and map hits) and distinct seeds
+// (100K singleton classes, each paying its own map slot and interval
+// list).
+func BenchmarkClassifyTimelines(b *testing.B) {
+	for _, tc := range []struct {
+		name   string
+		shared bool
+	}{{"shared-100K", true}, {"distinct-100K", false}} {
+		b.Run(tc.name, func(b *testing.B) {
+			c, plan := classifyFixture(b, 100_000, tc.shared)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				classifyTimelines(c, plan, nil)
+			}
+		})
+	}
+}

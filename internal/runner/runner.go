@@ -16,14 +16,12 @@ package runner
 import (
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/governor"
 	"repro/internal/server"
 	"repro/internal/sim"
-	"repro/internal/turbo"
+	"repro/internal/snapbuf"
 )
 
 // cacheShards is the number of independently locked cache segments. The
@@ -69,14 +67,15 @@ func newShardedCache[V any]() *shardedCache[V] {
 }
 
 // do returns the memoized value for key, executing fn exactly once per
-// key; hit reports whether a slot already existed.
-func (c *shardedCache[V]) do(key string, fn func() (V, error)) (v V, err error, hit bool) {
+// key; hit reports whether a slot already existed. Only a miss copies
+// key into a string.
+func (c *shardedCache[V]) do(key []byte, fn func() (V, error)) (v V, err error, hit bool) {
 	s := &c.shards[shardIndex(key)]
 	s.mu.Lock()
-	e, hit := s.cache[key]
+	e, hit := s.cache[string(key)]
 	if !hit {
 		e = &flight[V]{}
-		s.cache[key] = e
+		s.cache[string(key)] = e
 	}
 	s.mu.Unlock()
 	e.once.Do(func() { e.val, e.err = fn() })
@@ -125,7 +124,7 @@ func New(parallelism int) *Runner {
 }
 
 // shardIndex maps a memoization key to its cache-segment index (FNV-1a).
-func shardIndex(key string) uint64 {
+func shardIndex(key []byte) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(key); i++ {
 		h ^= uint64(key[i])
@@ -141,91 +140,35 @@ var defaultRunner = New(0)
 // reuses every simulation they have in common.
 func Default() *Runner { return defaultRunner }
 
-// keyData mirrors every behavioral Config field that is representable by
-// value; Profile is replaced by its fingerprint. Catalog and TraceHook
-// are deliberately absent — configs carrying them are not cacheable.
-type keyData struct {
-	Cores                 int
-	Platform              governor.Config
-	GovernorPolicy        string
-	Profile               string
-	RatePerSec            float64
-	Duration, Warmup      sim.Time
-	Seed                  uint64
-	Dispatch              string
-	PackQueueCap          int
-	LoadGen               string
-	BurstOn, BurstOff     sim.Time
-	UncoreW               float64
-	Freq                  turbo.FreqPlan
-	TurboSustainedW       float64
-	TurboCapacityJ        float64
-	FixedFreqHz           float64
-	AWFreqLoss            float64
-	SnoopRate             float64
-	SnoopService          sim.Time
-	NoisePeriod           sim.Time
-	NoiseDemand           sim.Time
-	PkgIdle               bool
-	PkgEntryDelay         sim.Time
-	PkgUncoreLowW         float64
-	ClosedLoopConnections int
-	ThinkTime             sim.Time
-	Schedule              string
-}
-
-// Key returns the memoization key for cfg and whether cfg is cacheable.
-// Non-cacheable configs (custom catalog, trace hook, or a profile whose
-// behavior is not captured by value) always execute. The key is computed
-// on the defaulted config, so zero-value and explicitly-default knobs
-// (Dispatch "" vs "round-robin", PackQueueCap 0 vs 4, ...) share one
-// cache slot.
-func Key(cfg server.Config) (string, bool) {
-	if cfg.Catalog != nil || cfg.TraceHook != nil {
-		return "", false
+// AppendKey appends the memoization key for cfg to buf and reports
+// whether cfg is cacheable. Non-cacheable configs (custom catalog, trace
+// hook, or a profile whose behavior is not captured by value) always
+// execute. The key is the binary config block snapshots also write
+// (server.EncodeKey), computed on the defaulted config so zero-value and
+// explicitly-default knobs (Dispatch "" vs "round-robin", PackQueueCap 0
+// vs 4, ...) share one cache slot, followed by RatePerSec and the
+// length-prefixed schedule fingerprint. Every field is fixed-width or
+// length-prefixed, so distinct configs never encode alike.
+func AppendKey(buf []byte, cfg server.Config) ([]byte, bool) {
+	e := snapbuf.Encoder{Buf: buf}
+	if !server.EncodeKey(&e, cfg) {
+		return buf, false
 	}
-	pf, ok := cfg.Profile.Fingerprint()
-	if !ok {
-		return "", false
-	}
-	cfg = cfg.Defaults() // normalize; the injected Catalog is not keyed
+	e.F64(cfg.RatePerSec)
 	var sched string
 	if cfg.Schedule != nil {
 		// A schedule's fingerprint fully determines its rate function, so
 		// scheduled runs stay memoizable.
 		sched = cfg.Schedule.Fingerprint()
 	}
-	return fmt.Sprintf("%+v", keyData{
-		Cores:                 cfg.Cores,
-		Platform:              cfg.Platform,
-		GovernorPolicy:        cfg.GovernorPolicy,
-		Profile:               pf,
-		RatePerSec:            cfg.RatePerSec,
-		Duration:              cfg.Duration,
-		Warmup:                cfg.Warmup,
-		Seed:                  cfg.Seed,
-		Dispatch:              cfg.Dispatch,
-		PackQueueCap:          cfg.PackQueueCap,
-		LoadGen:               cfg.LoadGen,
-		BurstOn:               cfg.BurstOnTime,
-		BurstOff:              cfg.BurstOffTime,
-		UncoreW:               cfg.UncoreW,
-		Freq:                  cfg.Freq,
-		TurboSustainedW:       cfg.TurboSustainedW,
-		TurboCapacityJ:        cfg.TurboCapacityJ,
-		FixedFreqHz:           cfg.FixedFreqHz,
-		AWFreqLoss:            cfg.AWFreqLossFraction,
-		SnoopRate:             cfg.SnoopRatePerSec,
-		SnoopService:          cfg.SnoopServiceTime,
-		NoisePeriod:           cfg.OSNoisePeriod,
-		NoiseDemand:           cfg.OSNoiseDemand,
-		PkgIdle:               cfg.PkgIdleEnabled,
-		PkgEntryDelay:         cfg.PkgEntryDelay,
-		PkgUncoreLowW:         cfg.PkgUncoreLowW,
-		ClosedLoopConnections: cfg.ClosedLoopConnections,
-		ThinkTime:             cfg.ThinkTime,
-		Schedule:              sched,
-	}), true
+	e.Str(sched)
+	return e.Buf, true
+}
+
+// Key is AppendKey into a fresh string.
+func Key(cfg server.Config) (string, bool) {
+	key, ok := AppendKey(nil, cfg)
+	return string(key), ok
 }
 
 // Run executes (or returns the memoized result of) one simulation.
@@ -233,7 +176,7 @@ func Key(cfg server.Config) (string, bool) {
 // block on the first execution. The returned Result may be shared with
 // other callers and must be treated as read-only.
 func (r *Runner) Run(cfg server.Config) (server.Result, error) {
-	key, cacheable := Key(cfg)
+	key, cacheable := AppendKey(nil, cfg)
 	if !cacheable {
 		r.misses.Add(1)
 		return server.RunConfig(cfg)
@@ -265,34 +208,43 @@ type TimelineSpec struct {
 	Intervals []Interval
 }
 
-// TimelineKey extends the node's simulation key with the park flag and
-// the exact interval list, and reports whether the spec is cacheable. A
-// timeline is a pure function of these: all randomness still derives
-// from Node.Seed, and the interval windows and rates fully determine
-// the piecewise-constant offered load. Beyond memoization, the key is
-// the cluster layer's timeline-equivalence-class fingerprint: two nodes
-// with equal keys are bit-identical simulations, so one representative
-// run can stand for all of them.
-func TimelineKey(spec TimelineSpec) (string, bool) {
-	base, ok := Key(spec.Node)
+// AppendTimelineKey appends the node's simulation key extended with the
+// park flag and the exact interval list, and reports whether the spec
+// is cacheable. A timeline is a pure function of these: all randomness
+// still derives from Node.Seed, and the interval windows and rates
+// fully determine the piecewise-constant offered load. Beyond
+// memoization, the key is the cluster layer's timeline-equivalence-class
+// fingerprint: two nodes with equal keys are bit-identical simulations,
+// so one representative run can stand for all of them.
+func AppendTimelineKey(buf []byte, spec TimelineSpec) ([]byte, bool) {
+	buf, ok := AppendKey(buf, spec.Node)
 	if !ok {
-		return "", false
+		return buf, false
 	}
-	var b strings.Builder
-	b.WriteString(base)
-	fmt.Fprintf(&b, "|timeline:park=%v", spec.Park)
+	e := snapbuf.Encoder{Buf: buf}
+	e.Bool(spec.Park)
 	for _, iv := range spec.Intervals {
-		fmt.Fprintf(&b, "|%d@%g", iv.Window, iv.Rate)
-		if !iv.Fault.healthy() {
-			// Fault annotations extend the key only when present, so a
-			// healthy timeline's key is byte-identical to its pre-fault
-			// form — and a faulted node can never share an equivalence
-			// class with a healthy one.
-			fmt.Fprintf(&b, "!d=%v,i=%g,t=%v,c=%g",
-				iv.Fault.Down, iv.Fault.Inflate, iv.Fault.Throttle, iv.Fault.TurboCap)
+		e.I64(int64(iv.Window))
+		e.F64(iv.Rate)
+		// A healthy interval carries a 0 marker and a faulted one a 1 plus
+		// its fault, so a faulted node can never share an equivalence
+		// class with a healthy one.
+		f := iv.Fault
+		e.Bool(!f.healthy())
+		if !f.healthy() {
+			e.Bool(f.Down)
+			e.F64(f.Inflate)
+			e.Bool(f.Throttle)
+			e.F64(f.TurboCap)
 		}
 	}
-	return b.String(), true
+	return e.Buf, true
+}
+
+// TimelineKey is AppendTimelineKey into a fresh string.
+func TimelineKey(spec TimelineSpec) (string, bool) {
+	key, ok := AppendTimelineKey(nil, spec)
+	return string(key), ok
 }
 
 // RunTimeline executes (or returns the memoized results of) one node's
@@ -306,7 +258,7 @@ func (r *Runner) RunTimeline(spec TimelineSpec) ([]server.IntervalResult, error)
 	if len(spec.Intervals) == 0 {
 		return nil, fmt.Errorf("runner: empty timeline")
 	}
-	key, cacheable := TimelineKey(spec)
+	key, cacheable := AppendTimelineKey(nil, spec)
 	if !cacheable {
 		r.misses.Add(1)
 		return runTimeline(spec)

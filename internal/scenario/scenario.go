@@ -252,12 +252,15 @@ func (s *Schedule) PeakRate() float64 {
 
 // Fingerprint returns a deterministic identity string: schedules with
 // equal fingerprints produce identical rate functions. It feeds the
-// runner's memoization key for simulations carrying a schedule.
+// runner's memoization key for simulations carrying a schedule. Names
+// are length-prefixed: they come from user scenario files and may hold
+// any separator, and unprefixed they could make two different phase
+// lists print alike.
 func (s *Schedule) Fingerprint() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "sched:%s", s.name)
+	fmt.Fprintf(&b, "sched:%d:%s", len(s.name), s.name)
 	for _, p := range s.phases {
-		fmt.Fprintf(&b, "|%s,%d,%g,%g", p.Name, p.Duration, p.StartRate, p.EndRate)
+		fmt.Fprintf(&b, "|%d:%s,%d,%g,%g", len(p.Name), p.Name, p.Duration, p.StartRate, p.EndRate)
 	}
 	return b.String()
 }

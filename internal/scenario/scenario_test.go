@@ -213,6 +213,26 @@ func TestFingerprintDistinguishesSchedules(t *testing.T) {
 	}
 }
 
+// TestFingerprintEscapesNames pins that phase names cannot forge phase
+// boundaries: a single phase whose name spells out "x,1,1,1|y" must not
+// fingerprint like the two-phase schedule it imitates, since their rate
+// functions differ (1 vs 9 QPS at t=0) and the fingerprint is a memo key.
+func TestFingerprintEscapesNames(t *testing.T) {
+	two := mustNew(t, "S", Phase{"x", 1, 1, 1}, Phase{"y", 5, 9, 9})
+	forged := mustNew(t, "S", Phase{"x,1,1,1|y", 5, 9, 9})
+	if two.RateAt(0) == forged.RateAt(0) {
+		t.Fatal("fixture schedules must differ in rate")
+	}
+	if two.Fingerprint() == forged.Fingerprint() {
+		t.Errorf("distinct schedules share fingerprint %q", two.Fingerprint())
+	}
+	// The schedule name is user text too.
+	renamed := mustNew(t, "S|x,1,1,1", Phase{"y", 5, 9, 9})
+	if renamed.Fingerprint() == two.Fingerprint() {
+		t.Errorf("schedule name forged a phase: %q", renamed.Fingerprint())
+	}
+}
+
 func TestByName(t *testing.T) {
 	for _, name := range Names() {
 		s, err := ByName(name, 100e3, sim.Second)

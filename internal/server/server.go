@@ -130,11 +130,18 @@ type Config struct {
 
 // Defaults fills unset fields with the paper's platform values.
 func (c Config) Defaults() Config {
-	if c.Cores == 0 {
-		c.Cores = 20
-	}
 	if c.Catalog == nil {
 		c.Catalog = cstate.Skylake()
+	}
+	return c.valueDefaults()
+}
+
+// valueDefaults is Defaults without the C-state catalog: every default a
+// memo key encodes, minus the catalog no key encodes and every call
+// would otherwise build afresh.
+func (c Config) valueDefaults() Config {
+	if c.Cores == 0 {
+		c.Cores = 20
 	}
 	if c.GovernorPolicy == "" {
 		c.GovernorPolicy = governor.PolicyMenu

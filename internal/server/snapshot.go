@@ -71,8 +71,51 @@ func (ins *Instance) Snapshot() ([]byte, error) {
 
 	var e snapbuf.Encoder
 	e.U8(snapshotVersion)
+	encodeConfig(&e, cfg) // the profile's fingerprint was checked above
+	e.Bool(ins.park)
 
-	// Config block.
+	// Interval history.
+	e.I64(int64(len(ins.hist)))
+	for _, h := range ins.hist {
+		e.I64(int64(h.window))
+		e.F64(h.rate)
+		e.F64(h.inflate)
+		e.Bool(h.throttle)
+		e.F64(h.capFrac)
+	}
+
+	// Verification block.
+	s := ins.s
+	e.I64(int64(s.eng.Now()))
+	e.U64(s.eng.Fired())
+	e.U64(s.snoopsServed)
+	for _, rng := range []interface{ State() [4]uint64 }{s.arrRand, s.svcRand, s.netRand} {
+		for _, w := range rng.State() {
+			e.U64(w)
+		}
+	}
+	return e.Buf, nil
+}
+
+// EncodeKey appends the config block of cfg with every unset knob
+// defaulted, so zero-value and explicitly-default configs encode alike,
+// and reports whether cfg is captured by value. A custom Catalog, a
+// TraceHook, or a profile without a fingerprint (live mutable state)
+// report false; e.Buf may then hold a partial block to discard. It is
+// the shared prefix of the runner's memo and class keys, so those keys
+// and snapshots list the behavioural fields in one place.
+func EncodeKey(e *snapbuf.Encoder, cfg Config) bool {
+	if cfg.Catalog != nil || cfg.TraceHook != nil {
+		return false
+	}
+	return encodeConfig(e, cfg.valueDefaults())
+}
+
+// encodeConfig appends the config block: every behavioural Config field
+// by value except RatePerSec and Schedule, which an Instance ignores,
+// with the profile as its registry name plus fingerprint text. It
+// reports false when the profile has no fingerprint.
+func encodeConfig(e *snapbuf.Encoder, cfg Config) bool {
 	e.I64(int64(cfg.Cores))
 	e.Str(cfg.Platform.Name)
 	e.I64(int64(len(cfg.Platform.Menu)))
@@ -83,7 +126,14 @@ func (ins *Instance) Snapshot() ([]byte, error) {
 	e.Bool(cfg.Platform.AgileWatts)
 	e.Str(cfg.GovernorPolicy)
 	e.Str(cfg.Profile.Name)
-	e.Str(fp)
+	ok := false
+	e.Append(func(b []byte) []byte {
+		b, ok = cfg.Profile.AppendFingerprint(b)
+		return b
+	})
+	if !ok {
+		return false
+	}
 	e.I64(int64(cfg.Duration))
 	e.I64(int64(cfg.Warmup))
 	e.U64(cfg.Seed)
@@ -109,30 +159,7 @@ func (ins *Instance) Snapshot() ([]byte, error) {
 	e.F64(cfg.PkgUncoreLowW)
 	e.I64(int64(cfg.ClosedLoopConnections))
 	e.I64(int64(cfg.ThinkTime))
-
-	e.Bool(ins.park)
-
-	// Interval history.
-	e.I64(int64(len(ins.hist)))
-	for _, h := range ins.hist {
-		e.I64(int64(h.window))
-		e.F64(h.rate)
-		e.F64(h.inflate)
-		e.Bool(h.throttle)
-		e.F64(h.capFrac)
-	}
-
-	// Verification block.
-	s := ins.s
-	e.I64(int64(s.eng.Now()))
-	e.U64(s.eng.Fired())
-	e.U64(s.snoopsServed)
-	for _, rng := range []interface{ State() [4]uint64 }{s.arrRand, s.svcRand, s.netRand} {
-		for _, w := range rng.State() {
-			e.U64(w)
-		}
-	}
-	return e.Buf, nil
+	return true
 }
 
 // Restore rebuilds an instance from a Snapshot payload: strict decode

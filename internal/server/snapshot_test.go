@@ -2,6 +2,8 @@ package server
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -150,6 +152,44 @@ func TestSnapshotIsStable(t *testing.T) {
 	rb := mustInterval(t, b, 10*sim.Millisecond, 190e3)
 	if !reflect.DeepEqual(ra, rb) {
 		t.Fatal("taking a snapshot perturbed the instance")
+	}
+}
+
+// TestSnapshotBytesPinned pins the snapshot encoding byte for byte: the
+// format carries no migration, so a checkpoint written by an earlier
+// build restores only while the config block, history and verification
+// block encode identically. The digests were recorded from the build
+// that introduced snapshotVersion 1; any intended format change must
+// bump the version and re-record them.
+func TestSnapshotBytesPinned(t *testing.T) {
+	want := map[string]string{
+		"memcached": "f8aa1a813294133353ba02bfab1df793effcf52c0199ef780d9cf757b1df86ee",
+		"kafka":     "ab978951467c23141972d1e71803da80d9488e4160429443542205850f99e61b",
+	}
+	for prof, digest := range want {
+		cfg := snapCfg()
+		var err error
+		if cfg.Profile, err = workload.ByName(prof); err != nil {
+			t.Fatal(err)
+		}
+		ins, err := NewInstance(cfg, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustInterval(t, ins, 11*sim.Millisecond, 200e3)
+		ins.SetServiceInflation(2.5)
+		ins.SetTurboCap(true, 0.5)
+		mustInterval(t, ins, 5*sim.Millisecond, 160e3)
+		ins.SetServiceInflation(0)
+		ins.SetTurboCap(false, 0)
+		mustInterval(t, ins, 4*sim.Millisecond, 0)
+		blob, err := ins.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(blob)); got != digest {
+			t.Errorf("%s: snapshot sha256 = %s, want %s", prof, got, digest)
+		}
 	}
 }
 

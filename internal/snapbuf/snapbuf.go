@@ -41,6 +41,15 @@ func (e *Encoder) Bytes(b []byte) {
 	e.Buf = append(e.Buf, b...)
 }
 
+// Append writes a length-prefixed payload that fn appends in place: the
+// wire form of Str and Bytes, without building the payload separately.
+func (e *Encoder) Append(fn func(b []byte) []byte) {
+	at := len(e.Buf)
+	e.U64(0)
+	e.Buf = fn(e.Buf)
+	binary.BigEndian.PutUint64(e.Buf[at:], uint64(len(e.Buf)-at-8))
+}
+
 // Decoder is the strict mirror: any read past the payload sets the
 // sticky error (checked via Err), so truncated documents are rejected
 // no matter where the cut landed.

@@ -14,6 +14,7 @@ package workload
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/sim"
 	"repro/internal/xrand"
@@ -39,12 +40,18 @@ type CloneableArrival interface {
 }
 
 // fingerprinter is implemented by workload components whose behavior is
-// fully determined by the returned value string; components backed by
+// fully determined by the value text they append; components backed by
 // live mutable state (e.g. the kvstore ETC service) do not implement it,
 // which marks profiles containing them as non-memoizable.
 type fingerprinter interface {
-	fingerprint() string
+	appendFingerprint(b []byte) []byte
 }
+
+// appendG appends f as fmt's %g prints it (NaN and ±Inf included).
+func appendG(b []byte, f float64) []byte { return strconv.AppendFloat(b, f, 'g', -1, 64) }
+
+// appendTime appends t as %d prints it.
+func appendTime(b []byte, t sim.Time) []byte { return strconv.AppendInt(b, int64(t), 10) }
 
 // Poisson is a memoryless arrival process — the standard open-loop load
 // generator model (Mutilate's default).
@@ -53,7 +60,7 @@ type Poisson struct{}
 // Name implements ArrivalProcess.
 func (Poisson) Name() string { return "poisson" }
 
-func (Poisson) fingerprint() string { return "poisson" }
+func (Poisson) appendFingerprint(b []byte) []byte { return append(b, "poisson"...) }
 
 // NextGap implements ArrivalProcess.
 func (Poisson) NextGap(r *xrand.Rand, ratePerSec float64) sim.Time {
@@ -96,9 +103,12 @@ func (m *MMPP2) CloneArrival() ArrivalProcess {
 	return &cp
 }
 
-func (m *MMPP2) fingerprint() string {
-	return fmt.Sprintf("mmpp2:%g,%g,%d,%v,%g",
-		m.BurstRateBoost, m.BurstFraction, m.MeanBurst, m.bursting, m.dwellLeft)
+func (m *MMPP2) appendFingerprint(b []byte) []byte {
+	b = appendG(append(b, "mmpp2:"...), m.BurstRateBoost)
+	b = appendG(append(b, ','), m.BurstFraction)
+	b = appendTime(append(b, ','), m.MeanBurst)
+	b = strconv.AppendBool(append(b, ','), m.bursting)
+	return appendG(append(b, ','), m.dwellLeft)
 }
 
 // NextGap implements ArrivalProcess.
@@ -150,8 +160,9 @@ type LogNormalService struct {
 // Name implements ServiceDist.
 func (s LogNormalService) Name() string { return "lognormal" }
 
-func (s LogNormalService) fingerprint() string {
-	return fmt.Sprintf("lognormal:%d,%g", s.MeanTime, s.CV)
+func (s LogNormalService) appendFingerprint(b []byte) []byte {
+	b = appendTime(append(b, "lognormal:"...), s.MeanTime)
+	return appendG(append(b, ','), s.CV)
 }
 
 // Mean implements ServiceDist.
@@ -182,9 +193,12 @@ type TailedService struct {
 // Name implements ServiceDist.
 func (s TailedService) Name() string { return "lognormal+pareto" }
 
-func (s TailedService) fingerprint() string {
-	return fmt.Sprintf("tailed:%s,%g,%d,%g,%d",
-		s.Body.fingerprint(), s.TailProb, s.TailXm, s.TailAlpha, s.TailCap)
+func (s TailedService) appendFingerprint(b []byte) []byte {
+	b = s.Body.appendFingerprint(append(b, "tailed:"...))
+	b = appendG(append(b, ','), s.TailProb)
+	b = appendTime(append(b, ','), s.TailXm)
+	b = appendG(append(b, ','), s.TailAlpha)
+	return appendTime(append(b, ','), s.TailCap)
 }
 
 // Mean implements ServiceDist.
@@ -245,17 +259,29 @@ func (p Profile) Validate() error {
 // precondition for memoizing simulation results keyed on it. Profiles
 // backed by live mutable state (e.g. MemcachedETC's kvstore) report false.
 func (p Profile) Fingerprint() (string, bool) {
+	b, ok := p.AppendFingerprint(nil)
+	return string(b), ok
+}
+
+// AppendFingerprint appends Fingerprint's text to b and reports whether
+// the profile is fingerprintable (b is returned unchanged when not). The
+// text must not change: snapshots store it and restores compare against
+// it (TestFingerprintTextPinned).
+func (p Profile) AppendFingerprint(b []byte) ([]byte, bool) {
 	af, ok := p.Arrivals.(fingerprinter)
 	if !ok {
-		return "", false
+		return b, false
 	}
 	sf, ok := p.Service.(fingerprinter)
 	if !ok {
-		return "", false
+		return b, false
 	}
-	return fmt.Sprintf("%s|ref=%g|scal=%g|rtt=%d|cv=%g|arr=%s|svc=%s",
-		p.Name, p.RefFreqHz, p.FreqScalability, p.NetworkRTT, p.NetworkCV,
-		af.fingerprint(), sf.fingerprint()), true
+	b = appendG(append(append(b, p.Name...), "|ref="...), p.RefFreqHz)
+	b = appendG(append(b, "|scal="...), p.FreqScalability)
+	b = appendTime(append(b, "|rtt="...), p.NetworkRTT)
+	b = appendG(append(b, "|cv="...), p.NetworkCV)
+	b = af.appendFingerprint(append(b, "|arr="...))
+	return sf.appendFingerprint(append(b, "|svc="...)), true
 }
 
 // UtilizationAt returns the offered per-core utilization at an aggregate

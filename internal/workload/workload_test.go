@@ -128,6 +128,52 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// TestFingerprintTextPinned pins Fingerprint's exact text. Snapshots
+// store it and restores compare against it, so checkpoints written by
+// earlier builds (whose fingerprints came from fmt's %g/%d/%v) only
+// restore while the text stays byte-identical. The literals were
+// recorded from that fmt implementation; the last two profiles reach
+// MMPP2 mid-burst state, a bare log-normal service, and the %g corner
+// cases (exponents, -0, NaN, +Inf).
+func TestFingerprintTextPinned(t *testing.T) {
+	byName := func(name string) Profile {
+		p, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	cases := []struct {
+		p    Profile
+		want string
+	}{
+		{byName("memcached"), "memcached|ref=2.2e+09|scal=0.45|rtt=117000|cv=0.3|arr=poisson|svc=tailed:lognormal:7000,0.7,0.05,25000,2.2,2000000"},
+		{byName("kafka"), "kafka|ref=2.2e+09|scal=0.35|rtt=117000|cv=0.3|arr=mmpp2:4,0.2,2000000,false,0|svc=tailed:lognormal:25000,0.9,0.03,80000,2,5000000"},
+		{byName("mysql"), "mysql|ref=2.2e+09|scal=0.6|rtt=117000|cv=0.25|arr=poisson|svc=tailed:lognormal:180000,1,0.02,600000,1.8,20000000"},
+		{Profile{
+			Name: "bursty", RefFreqHz: 2.5e9, FreqScalability: 0.125, NetworkRTT: 90000,
+			Arrivals: &MMPP2{BurstRateBoost: 3.5, BurstFraction: 1.0 / 3, MeanBurst: 1500000, bursting: true, dwellLeft: 12345.678},
+			Service:  LogNormalService{MeanTime: 4321, CV: 1e-7},
+		}, "bursty|ref=2.5e+09|scal=0.125|rtt=90000|cv=0|arr=mmpp2:3.5,0.3333333333333333,1500000,true,12345.678|svc=lognormal:4321,1e-07"},
+		{Profile{
+			Name: "odd|tail", RefFreqHz: 1e21, FreqScalability: math.Copysign(0, -1), NetworkRTT: -1, NetworkCV: math.NaN(),
+			Arrivals: Poisson{},
+			Service: TailedService{Body: LogNormalService{MeanTime: 3, CV: 123456789}, TailProb: 0.05,
+				TailXm: 25000, TailAlpha: math.Inf(1)},
+		}, "odd|tail|ref=1e+21|scal=-0|rtt=-1|cv=NaN|arr=poisson|svc=tailed:lognormal:3,1.23456789e+08,0.05,25000,+Inf,0"},
+	}
+	for _, tc := range cases {
+		got, ok := tc.p.Fingerprint()
+		if !ok || got != tc.want {
+			t.Errorf("%s: Fingerprint() = %q, %v\nwant %q", tc.p.Name, got, ok, tc.want)
+		}
+		prefix := []byte("x")
+		if b, ok := tc.p.AppendFingerprint(prefix); !ok || string(b) != "x"+tc.want {
+			t.Errorf("%s: AppendFingerprint did not append the Fingerprint text: %q", tc.p.Name, b)
+		}
+	}
+}
+
 func TestUtilizationAt(t *testing.T) {
 	p := Memcached()
 	// Paper: latency-critical servers run at 5-25% utilization across the

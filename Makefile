@@ -7,7 +7,7 @@ PROF_DIR := .prof
 BENCH ?= BenchmarkRunService
 PKG ?= ./internal/server
 
-.PHONY: all build test race bench bench-micro profile profile-mem bench-json clean-prof
+.PHONY: all build test race bench bench-micro profile profile-mem bench-json clean-prof loc
 
 all: build test
 
@@ -57,3 +57,10 @@ bench-json:
 
 clean-prof:
 	rm -rf $(PROF_DIR)
+
+# Non-test Go lines per package (directory) and in total, bench/
+# excluded: the tracked code-size number.
+loc:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^bench/' | xargs wc -l \
+		| awk '$$2 != "total" { d = $$2; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", t }'

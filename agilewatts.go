@@ -258,8 +258,8 @@ type ClusterRun struct {
 	// simulations, which the scenario engine collapses into one
 	// equivalence class per timeline — the fleet-scale dedup that makes
 	// 100K-node scenario runs tractable. Statistical independence across
-	// nodes is traded away; pair with ScenarioRun.Replicas to get seeded
-	// resampling error bars instead.
+	// nodes is traded away; pair with ScenarioExecution.Replicas to get
+	// seeded resampling error bars instead.
 	SharedSeeds bool
 }
 
@@ -354,7 +354,8 @@ type ScenarioResult = cluster.ScenarioResult
 
 // CI is a 95% confidence interval, and FleetCI the set of intervals a
 // replicated scenario run attaches to its fleet-level observables
-// (fleet power, QPS-per-watt, worst node p99). See ScenarioRun.Replicas.
+// (fleet power, QPS-per-watt, worst node p99). See
+// ScenarioExecution.Replicas.
 type (
 	CI      = cluster.CI
 	FleetCI = cluster.FleetCI
@@ -432,27 +433,19 @@ const (
 // OverloadPolicies lists the built-in overload policy names.
 func OverloadPolicies() []string { return cluster.OverloadPolicies() }
 
-// ScenarioExecution groups the scenario engine-selection knobs: which
-// engine runs the epochs and how much statistical machinery rides
-// along.
+// ScenarioExecution groups the scenario execution knobs: how much
+// statistical machinery rides along, and how much per-node detail the
+// result keeps.
 type ScenarioExecution struct {
-	// ColdEpochs selects the legacy cold-start scenario engine: every
-	// epoch re-creates every node simulation from scratch (one warmup
-	// per node per epoch, per-epoch mixed seeds, synthetic unpark
-	// penalty). The default warm path runs each node's whole timeline on
-	// one resumable instance — a single warmup per scenario, real
-	// park/unpark transitions, and one pipelined task per node.
-	ColdEpochs bool
 	// Replicas adds K seeded statistical replicas per timeline
 	// equivalence class: each class's representative is re-simulated K
 	// times under seeds drawn from a reserved plane disjoint from every
-	// node and epoch seed, and the result gains 95% confidence intervals
+	// node seed, and the result gains 95% confidence intervals
 	// (ScenarioResult.CI, EpochResult.CI) over fleet power, QPS-per-watt
 	// and worst p99. Point estimates are untouched — K=0 and K>0 report
-	// bit-identical central values. Warm path only. Replicas pay off with
-	// SharedSeeds, where a class stands for many nodes; on a
-	// distinct-seed fleet every class is a singleton and replicas only
-	// add cost.
+	// bit-identical central values. Replicas pay off with SharedSeeds,
+	// where a class stands for many nodes; on a distinct-seed fleet
+	// every class is a singleton and replicas only add cost.
 	Replicas int
 	// CompactNodes drops per-node detail (Fleet.Nodes stays nil) and
 	// aggregates each epoch in O(classes) instead of O(nodes) — the mode
@@ -460,30 +453,19 @@ type ScenarioExecution struct {
 	// collapses them to a handful of classes. Fleet-level sums, counts
 	// and weighted p99-spread quantiles are computed over the class
 	// multiset; sums reassociate, so they can differ from the expanded
-	// path in the last ulps when a class has multiplicity > 1. Warm path
-	// only.
+	// path in the last ulps when a class has multiplicity > 1.
 	CompactNodes bool
 }
 
-// ScenarioElasticity groups the fleet elasticity knobs: what a
-// park/unpark transition costs, and which control plane decides when to
-// make one.
+// ScenarioElasticity groups the fleet elasticity knobs: which control
+// plane decides when to park and unpark nodes. The park/unpark
+// transitions themselves are simulated (drain, deep idle, real exit
+// latency), so they carry no cost knobs.
 type ScenarioElasticity struct {
-	// UnparkLatencyNS / UnparkPowerW parameterize the cold path's
-	// synthetic penalty a parked node pays when load returns to it
-	// (defaults 1ms / 30W; zero means "default" — set UnparkFree for an
-	// explicitly free unpark). The warm path simulates the transition
-	// instead and ignores both.
-	UnparkLatencyNS Duration
-	UnparkPowerW    float64
-	// UnparkFree makes cold-path unparks explicitly free (both
-	// penalties zero), which the zero values above cannot express.
-	UnparkFree bool
 	// Controller selects the fleet autoscaling policy. The zero value
 	// keeps the open-loop plan (the schedule decides everything up
 	// front); a named or custom controller re-decides the active node
-	// count every epoch from the previous epoch's telemetry. Warm path
-	// only.
+	// count every epoch from the previous epoch's telemetry.
 	Controller ControllerSpec
 }
 
@@ -491,8 +473,8 @@ type ScenarioElasticity struct {
 // ClusterRun supplies the fleet (nodes, platform, service, policy), and
 // the schedule replaces its static RateQPS. Every EpochNS the cluster
 // dispatcher re-partitions the current window's mean rate, parking and
-// unparking nodes as the load moves. Execution selects and tunes the
-// engine; Elasticity prices and controls the park/unpark transitions.
+// unparking nodes as the load moves. Execution tunes replicas and
+// result detail; Elasticity controls the park/unpark transitions.
 type ScenarioRun struct {
 	ClusterRun
 	// Scenario names a built-in shape built around RateQPS as the base
@@ -506,75 +488,20 @@ type ScenarioRun struct {
 	// EpochNS is the re-dispatch interval (default: one epoch spanning
 	// the whole schedule).
 	EpochNS Duration
-	// Execution groups the engine-selection knobs (cold vs warm engine,
-	// replicas, compact aggregation).
+	// Execution groups the replica and compact-aggregation knobs.
 	Execution ScenarioExecution
-	// Elasticity groups the unpark-cost and autoscaling knobs.
+	// Elasticity groups the autoscaling knobs.
 	Elasticity ScenarioElasticity
 	// Faults injects node- and cluster-level faults into the run:
 	// crash/restart cycles, stragglers, thermal throttling, and a seeded
-	// correlated fault process. Warm path only; the zero value is a
-	// healthy fleet, bit-identical to a run without fault injection.
+	// correlated fault process. The zero value is a healthy fleet,
+	// bit-identical to a run without fault injection.
 	Faults FaultSpec
 	// Overload enables per-epoch admission control when the offered
 	// load exceeds the active fleet's capacity: shed, degrade or queue
-	// the excess (see OverloadSpec). Warm path only; the zero value
-	// disables it, bit-identical to a run without admission control.
+	// the excess (see OverloadSpec). The zero value disables it,
+	// bit-identical to a run without admission control.
 	Overload OverloadSpec
-
-	// UnparkLatencyNS is the cold path's synthetic unpark latency.
-	//
-	// Deprecated: set Elasticity.UnparkLatencyNS. This shim maps into
-	// the group (the group wins when both are set) and will be removed
-	// after one release of compatibility.
-	UnparkLatencyNS Duration
-	// UnparkPowerW is the cold path's synthetic unpark power.
-	//
-	// Deprecated: set Elasticity.UnparkPowerW. This shim maps into the
-	// group (the group wins when both are set) and will be removed after
-	// one release of compatibility.
-	UnparkPowerW float64
-	// UnparkFree makes cold-path unparks explicitly free.
-	//
-	// Deprecated: set Elasticity.UnparkFree. The flags are OR-ed during
-	// the compatibility release; this shim will then be removed.
-	UnparkFree bool
-	// ColdEpochs selects the legacy cold-start scenario engine.
-	//
-	// Deprecated: set Execution.ColdEpochs. The flags are OR-ed during
-	// the compatibility release; this shim will then be removed.
-	ColdEpochs bool
-	// Replicas adds K seeded replicas per timeline class.
-	//
-	// Deprecated: set Execution.Replicas. This shim maps into the group
-	// (the group wins when both are set) and will be removed after one
-	// release of compatibility.
-	Replicas int
-	// CompactNodes drops per-node detail from the results.
-	//
-	// Deprecated: set Execution.CompactNodes. The flags are OR-ed during
-	// the compatibility release; this shim will then be removed.
-	CompactNodes bool
-}
-
-// normalized folds the deprecated flat shims into the grouped fields:
-// a set group field wins over its shim, boolean flags are OR-ed, so
-// callers migrating field-by-field never lose a knob.
-func (r ScenarioRun) normalized() (ScenarioExecution, ScenarioElasticity) {
-	ex, el := r.Execution, r.Elasticity
-	ex.ColdEpochs = ex.ColdEpochs || r.ColdEpochs
-	if ex.Replicas == 0 {
-		ex.Replicas = r.Replicas
-	}
-	ex.CompactNodes = ex.CompactNodes || r.CompactNodes
-	if el.UnparkLatencyNS == 0 {
-		el.UnparkLatencyNS = r.UnparkLatencyNS
-	}
-	if el.UnparkPowerW == 0 {
-		el.UnparkPowerW = r.UnparkPowerW
-	}
-	el.UnparkFree = el.UnparkFree || r.UnparkFree
-	return ex, el
 }
 
 // scenarioConfig maps the run description onto the cluster scenario
@@ -603,25 +530,20 @@ func scenarioConfig(r ScenarioRun) (cluster.ScenarioConfig, error) {
 			return cluster.ScenarioConfig{}, err
 		}
 	}
-	ex, el := r.normalized()
 	// The template's Duration is irrelevant here: the scenario engine
 	// assigns every node its epoch window length per epoch.
 	return cluster.ScenarioConfig{
-		Nodes:         nodes,
-		Schedule:      sched,
-		Epoch:         r.EpochNS,
-		Dispatch:      run.ClusterDispatch,
-		TargetUtil:    run.TargetUtil,
-		ParkDrained:   run.ParkDrained,
-		ColdEpochs:    ex.ColdEpochs,
-		UnparkLatency: el.UnparkLatencyNS,
-		UnparkPowerW:  el.UnparkPowerW,
-		UnparkFree:    el.UnparkFree,
-		Controller:    el.Controller,
-		Replicas:      ex.Replicas,
-		CompactNodes:  ex.CompactNodes,
-		Faults:        r.Faults,
-		Overload:      r.Overload,
+		Nodes:        nodes,
+		Schedule:     sched,
+		Epoch:        r.EpochNS,
+		Dispatch:     run.ClusterDispatch,
+		TargetUtil:   run.TargetUtil,
+		ParkDrained:  run.ParkDrained,
+		Controller:   r.Elasticity.Controller,
+		Replicas:     r.Execution.Replicas,
+		CompactNodes: r.Execution.CompactNodes,
+		Faults:       r.Faults,
+		Overload:     r.Overload,
 	}, nil
 }
 

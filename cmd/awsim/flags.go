@@ -12,7 +12,7 @@ import (
 // a run that never executes it used to be silently ignored — the flag
 // parsed fine, the run produced output, and the knob did nothing.
 var scenarioOnlyFlags = []string{
-	"scenario", "epoch-ms", "cold-epochs", "replicas",
+	"scenario", "epoch-ms", "replicas",
 	"controller", "ctrl-up", "ctrl-down", "ctrl-cooldown",
 }
 

@@ -30,7 +30,6 @@ func TestCheckFlagCombos(t *testing.T) {
 
 		{"scenario shape without the experiment", setOf("scenario"), nil, `only affects the "scenario" experiment`},
 		{"epoch-ms on the cluster experiment", setOf("epoch-ms"), []string{"cluster"}, `only affects the "scenario" experiment`},
-		{"cold-epochs without the experiment", setOf("cold-epochs"), nil, `only affects the "scenario" experiment`},
 		{"replicas without the experiment", setOf("replicas"), nil, `only affects the "scenario" experiment`},
 		{"controller without the experiment", setOf("controller"), nil, `only affects the "scenario" experiment`},
 		{"ctrl tuning without a controller", setOf("ctrl-up"), []string{"scenario"}, "needs -controller"},

@@ -70,10 +70,6 @@ func main() {
 			strings.Join(agilewatts.ScenarioNames(), "|"))
 	epochMS := flag.Int("epoch-ms", 0,
 		"scenario experiment re-dispatch interval in ms (default: schedule/12)")
-	coldEpochs := flag.Bool("cold-epochs", false,
-		"run the scenario experiment on the legacy cold-start engine "+
-			"(fresh simulations + synthetic unpark penalty per epoch) instead of "+
-			"the warm resumable-instance path")
 	replicas := flag.Int("replicas", 0,
 		"scenario experiment only: K seeded replicas per timeline equivalence "+
 			"class (shared node seeds, 95% CI note on the phase table)")
@@ -140,7 +136,6 @@ func main() {
 	opts.ClusterDispatch = *clusterDispatch
 	opts.Scenario = *scenarioName
 	opts.Epoch = agilewatts.Duration(*epochMS) * 1_000_000
-	opts.ColdEpochs = *coldEpochs
 	opts.Replicas = *replicas
 	opts.Controller = *controller
 	opts.ControllerUpUtil = *ctrlUp

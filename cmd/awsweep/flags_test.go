@@ -27,7 +27,6 @@ func TestCheckFlagCombos(t *testing.T) {
 		{"scenario file alone", setOf("scenario-file"), ""},
 
 		{"epoch-ms without scenario", setOf("epoch-ms"), "needs -scenario"},
-		{"cold-epochs without scenario", setOf("cold-epochs"), "needs -scenario"},
 		{"replicas without scenario", setOf("replicas"), "needs -scenario"},
 		{"controller without scenario", setOf("controller"), "needs -scenario"},
 		{"ctrl tuning without scenario", setOf("ctrl-cooldown"), "needs -scenario"},

@@ -70,9 +70,6 @@ func main() {
 			strings.Join(agilewatts.ScenarioNames(), "|"))
 	epochMS := flag.Int("epoch-ms", 0,
 		"scenario re-dispatch interval in ms (default: one epoch per schedule)")
-	coldEpochs := flag.Bool("cold-epochs", false,
-		"run scenarios on the legacy cold-start engine (fresh simulations + "+
-			"synthetic unpark penalty per epoch) instead of the warm resumable path")
 	replicas := flag.Int("replicas", 0,
 		"scenario sweeps only: K seeded replicas per timeline equivalence class; "+
 			"switches the fleet to shared node seeds (identical timelines collapse "+
@@ -147,9 +144,6 @@ func main() {
 	if *replicas > 0 && !scenarioMode {
 		fatal(fmt.Errorf("-replicas requires -scenario (replicas are a scenario-engine feature)"))
 	}
-	if *replicas > 0 && *coldEpochs {
-		fatal(fmt.Errorf("-replicas requires the warm path (drop -cold-epochs)"))
-	}
 	if *controller != "" && !scenarioMode {
 		fatal(fmt.Errorf("-controller requires -scenario (controllers drive the scenario fleet)"))
 	}
@@ -203,7 +197,6 @@ func main() {
 				Scenario: *scenarioName,
 				EpochNS:  agilewatts.Duration(*epochMS) * 1_000_000,
 				Execution: agilewatts.ScenarioExecution{
-					ColdEpochs:   *coldEpochs,
 					Replicas:     *replicas,
 					CompactNodes: *replicas > 0,
 				},

@@ -288,18 +288,6 @@ func TestScenarioReplicaValidation(t *testing.T) {
 	if _, err := RunScenario(huge); err == nil || !strings.Contains(err.Error(), "seed plane") {
 		t.Errorf("plane-overflowing replicas accepted: %v", err)
 	}
-	coldReps := base
-	coldReps.ColdEpochs = true
-	coldReps.Replicas = 2
-	if _, err := RunScenario(coldReps); err == nil {
-		t.Error("replicas accepted on the cold path")
-	}
-	coldCompact := base
-	coldCompact.ColdEpochs = true
-	coldCompact.CompactNodes = true
-	if _, err := RunScenario(coldCompact); err == nil {
-		t.Error("compact nodes accepted on the cold path")
-	}
 }
 
 // TestCompactLargeSharedFleet exercises the datacenter shape end to end

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 )
@@ -93,6 +94,39 @@ func TestControlledRunDeterministic(t *testing.T) {
 	b := runScenario(t, cfg)
 	if !reflect.DeepEqual(a, b) {
 		t.Error("controlled scenario run not deterministic")
+	}
+}
+
+// TestControlledRunNotesClassDedupOnce pins the controlled engine's
+// class-dedup accounting: one reactive RunScenario adds its nodes,
+// classes and replica runs to the runner's ClassStats exactly once.
+// Live.Result does not note them (awserved calls it on every request),
+// so RunScenario must.
+func TestControlledRunNotesClassDedupOnce(t *testing.T) {
+	node := quickNode(0)
+	node.Warmup = 5 * sim.Millisecond
+	total := 80 * sim.Millisecond
+	r := runner.New(0)
+	n0, c0, k0 := r.ClassStats()
+	res := runScenario(t, ScenarioConfig{
+		Nodes:       sharedFleet(4, node),
+		Schedule:    mustSchedule(scenario.Spike(1e6, 3, total, total/4, total/4)),
+		Epoch:       total / 4,
+		Dispatch:    DispatchSpread,
+		ParkDrained: true,
+		Controller:  ControllerSpec{Name: ControllerReactive},
+		Replicas:    2,
+		Runner:      r,
+	})
+	n1, c1, k1 := r.ClassStats()
+	// The shared-seed fleet must collapse for the check to tell the node
+	// count from the class count.
+	if res.Classes < 1 || res.Classes >= 4 {
+		t.Fatalf("classes = %d, want 1..3", res.Classes)
+	}
+	want := [3]uint64{4, uint64(res.Classes), uint64(res.Classes) * 2}
+	if got := [3]uint64{n1 - n0, c1 - c0, k1 - k0}; got != want {
+		t.Errorf("class stats delta = %v, want %v (nodes, classes, classes x 2)", got, want)
 	}
 }
 

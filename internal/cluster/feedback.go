@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/runner"
 	"repro/internal/server"
@@ -133,6 +132,25 @@ func splitByRate(classes []*liveClass, rates []float64, faults []runner.Fault) [
 	return out
 }
 
+// replay rebuilds the class's cursor by replaying its realized prefix
+// onto a fresh one — exact by determinism. The replayed measurements
+// are bit-identical to the recorded ones and are dropped; only the
+// cursor state (instance, crash/restart history) matters. what names
+// the replay in errors.
+func (cl *liveClass) replay(park bool, what string) error {
+	cur, err := runner.NewCursor(cl.node, park)
+	if err != nil {
+		return fmt.Errorf("cluster: node %d %s: %w", cl.rep, what, err)
+	}
+	for i, iv := range cl.intervals {
+		if _, err := cur.Step(iv); err != nil {
+			return fmt.Errorf("cluster: node %d %s interval %d: %w", cl.rep, what, i, err)
+		}
+	}
+	cl.ins = cur
+	return nil
+}
+
 // runControlledEpoch advances every class one epoch at its routed rate
 // and fault, reconstructing freshly split classes first. Classes are
 // independent simulations, so the fan-out is parallel; a split class's
@@ -141,19 +159,9 @@ func runControlledEpoch(classes []*liveClass, window sim.Time, c resolvedScenari
 	return r.Each(len(classes), func(ci int) error {
 		cl := classes[ci]
 		if cl.ins == nil {
-			cur, err := runner.NewCursor(cl.node, c.ParkDrained)
-			if err != nil {
-				return fmt.Errorf("cluster: node %d split replay: %w", cl.rep, err)
+			if err := cl.replay(c.ParkDrained, "split replay"); err != nil {
+				return err
 			}
-			for i, iv := range cl.intervals {
-				// The replayed measurements are bit-identical to the prefix
-				// copied from the parent at split time; only the cursor
-				// state (instance, crash/restart history) matters here.
-				if _, err := cur.Step(iv); err != nil {
-					return fmt.Errorf("cluster: node %d split replay interval %d: %w", cl.rep, i, err)
-				}
-			}
-			cl.ins = cur
 		}
 		next := runner.Interval{Window: window, Rate: cl.rate, Fault: cl.fault}
 		iv, err := cl.ins.Step(next)
@@ -220,128 +228,6 @@ func partitionOver(c resolvedScenario, part func(Config) []float64, rate float64
 		rates[i] = sub[j]
 	}
 	return rates
-}
-
-// runScenarioControlled executes the epoch plan under a fleet
-// controller: the plan's schedule windows are kept, but each epoch's
-// rate partition is decided at run time — by the controller for the
-// closed-loop policies, or replayed verbatim from the precomputed plan
-// for the oracle. The engine is incremental: live classes extend their
-// timelines epoch by epoch, a telemetry sample is folded at every
-// boundary, and the controller's next decision is taken against the
-// *finished* epoch's telemetry (one full epoch of lag, the honest
-// feedback regime). After the last epoch the realized timelines are
-// repackaged as ordinary timeline classes, so replica error bars and
-// all per-epoch/per-phase aggregation reuse the open-loop machinery
-// unchanged — which is also what lets the oracle reproduce the
-// open-loop goldens bit-for-bit through this engine.
-func runScenarioControlled(c resolvedScenario, plan []epochWindow, faults [][]runner.Fault, part func(Config) []float64, r *runner.Runner, out *ScenarioResult) error {
-	n := len(c.Nodes)
-	oracle := c.Controller.New == nil && c.Controller.Name == ControllerOracle
-	ctrl := newController(c.Controller, FleetInfo{
-		Nodes:      n,
-		PerNodeQPS: meanCapacityQPS(c.Nodes),
-		TargetUtil: c.Controller.TargetUtil,
-		Epoch:      c.Epoch,
-	})
-
-	adm := c.newAdmission()
-	classes := initialLiveClasses(c)
-	realized := make([]epochWindow, len(plan))
-	targets := make([]int, len(plan))
-	target := n // cold start: everything active until telemetry arrives
-	var tel FleetTelemetry
-	for e, pw := range plan {
-		var frow []runner.Fault
-		if faults != nil {
-			frow = faults[e]
-		}
-		var rates []float64
-		var acct overloadAccount
-		if oracle || ctrl == nil {
-			// The plan's rates are already fault- and admission-adjusted
-			// (crashed nodes carry zero; clipped epochs their admitted
-			// partition), so the oracle replays rates and admission
-			// accounts verbatim and its targets exclude dark nodes.
-			rates = pw.rates
-			acct = pw.account()
-			if adm != nil {
-				adm.backlog = pw.backlogReq
-			}
-			target = 0
-			for _, rt := range rates {
-				if rt > 0 {
-					target++
-				}
-			}
-		} else {
-			if e > 0 {
-				target = clampTarget(ctrl.Observe(tel), n)
-			}
-			// Run-time admission: the controller's shrunken active set is
-			// the capacity the policy admits against — a consolidated
-			// fleet saturates before a fully unparked one would.
-			up := activeSet(c, target, frow)
-			route := pw.rate
-			if adm != nil {
-				winSec := float64(pw.end-pw.start) / 1e9
-				route, acct = adm.admit(pw.rate, c.overloadCapacity(up), winSec)
-			}
-			rates = partitionOver(c, part, route, up)
-		}
-		targets[e] = target
-		realized[e] = epochWindow{
-			start: pw.start, end: pw.end, rate: pw.rate, phase: pw.phase, rates: rates,
-			saturated: acct.saturated, shedded: acct.shedded, backlogReq: acct.backlogReq,
-		}
-
-		classes = splitByRate(classes, rates, frow)
-		if err := runControlledEpoch(classes, pw.end-pw.start, c, r); err != nil {
-			return err
-		}
-		tel = fleetTelemetry(e, realized[e], classes, c.CompactNodes, n)
-	}
-
-	// Repackage the realized timelines as ordinary timeline classes,
-	// ordered like the open-loop classifier's output (first-member
-	// position), and hand everything downstream to the open-loop
-	// aggregation: replicas, CIs, park bookkeeping, compact expansion.
-	sort.Slice(classes, func(i, j int) bool { return classes[i].rep < classes[j].rep })
-	tclasses := make([]timelineClass, len(classes))
-	for ci, cl := range classes {
-		tclasses[ci] = timelineClass{
-			rep:     cl.rep,
-			members: cl.members,
-			spec:    runner.TimelineSpec{Node: cl.node, Park: c.ParkDrained, Intervals: cl.intervals},
-			results: make([][]server.IntervalResult, c.Replicas+1),
-		}
-		tclasses[ci].results[0] = cl.results
-	}
-	out.Classes = len(tclasses)
-	out.ReplicaRuns = len(tclasses) * c.Replicas
-	r.NoteClassDedup(n, len(tclasses), out.ReplicaRuns)
-	if c.Replicas > 0 {
-		if err := runControlledReplicas(tclasses, c.Replicas, r); err != nil {
-			return err
-		}
-	}
-	if c.CompactNodes {
-		warmEpochsCompact(c, realized, tclasses, out)
-	} else {
-		warmEpochsExpanded(c, realized, tclasses, out)
-	}
-	out.CI = scenarioClassCI(tclasses, realized, c.Replicas)
-
-	out.Controller = c.Controller.displayName()
-	prev := -1
-	for e := range out.Epochs {
-		out.Epochs[e].TargetNodes = targets[e]
-		if prev >= 0 && targets[e] != prev {
-			out.ControllerChanges++
-		}
-		prev = targets[e]
-	}
-	return nil
 }
 
 // runControlledReplicas runs the K seeded replicas of every realized

@@ -28,11 +28,7 @@ import (
 //
 // A Live is single-goroutine, like the instances it wraps.
 type Live struct {
-	c      resolvedScenario
-	part   func(Config) []float64
-	r      *runner.Runner
-	plan   []epochWindow
-	faults [][]runner.Fault
+	scenarioPlan
 	// replay marks plan-replay mode: open-loop configs and the oracle
 	// controller take each epoch's rates from the precomputed plan;
 	// otherwise ctrl decides each unforced epoch's target.
@@ -53,44 +49,27 @@ type Live struct {
 	epoch    int
 }
 
-// NewLive builds the steppable fleet for the scenario config. Any
-// warm-path config RunScenario accepts is steppable; ColdEpochs is not
-// (its engine has no persistent per-node state to hold).
+// NewLive builds the steppable fleet for the scenario config. Every
+// config RunScenario accepts is steppable.
 func NewLive(cfg ScenarioConfig) (*Live, error) {
-	c, err := cfg.Normalize()
+	p, err := newScenarioPlan(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if c.ColdEpochs {
-		return nil, fmt.Errorf("cluster: a live scenario needs the warm path (ColdEpochs is set)")
-	}
-	part, err := partitioner(c.Dispatch)
-	if err != nil {
-		return nil, err
-	}
-	r := c.Runner
-	if r == nil {
-		r = runner.Default()
-	}
-	plan := planEpochs(c, part, c.total)
-	faults := c.faultPlan(plan)
-	if faults != nil {
-		applyFaultRates(c, part, plan, faults)
-	}
-	applyOverloadPlan(c, part, plan, faults)
+	return newLive(p), nil
+}
+
+// newLive builds the steppable fleet on an already-built plan.
+func newLive(p scenarioPlan) *Live {
 	l := &Live{
-		c:      c,
-		part:   part,
-		r:      r,
-		plan:   plan,
-		faults: faults,
-		target: len(c.Nodes), // cold start: everything active until telemetry arrives
+		scenarioPlan: p,
+		target:       len(p.c.Nodes), // cold start: everything active until telemetry arrives
 	}
-	l.ctrl = newController(c.Controller, l.fleetInfo())
+	l.ctrl = newController(p.c.Controller, l.fleetInfo())
 	l.replay = l.ctrl == nil
-	l.adm = c.newAdmission()
-	l.classes = initialLiveClasses(c)
-	return l, nil
+	l.adm = p.c.newAdmission()
+	l.classes = initialLiveClasses(p.c)
+	return l
 }
 
 func (l *Live) fleetInfo() FleetInfo {
@@ -139,7 +118,9 @@ func (l *Live) History() []FleetTelemetry {
 // Step advances the fleet one epoch: the controller (or the plan, in
 // replay mode) decides the active set, the dispatcher routes the
 // epoch's offered rate, every class simulates its window, and the
-// boundary telemetry is folded and returned.
+// boundary telemetry is folded and returned. The controller decides
+// against the *finished* epoch's telemetry: one full epoch of lag, the
+// honest feedback regime.
 func (l *Live) Step() (FleetTelemetry, error) {
 	return l.step(0, false)
 }
@@ -167,6 +148,9 @@ func (l *Live) step(forcedTarget int, force bool) (FleetTelemetry, error) {
 	target := l.target
 	var rates []float64
 	var acct overloadAccount
+	// Run-time admission: the active set is the capacity the policy
+	// admits against, so a consolidated fleet saturates before a fully
+	// unparked one would.
 	admitted := func(up []int) []float64 {
 		route := pw.rate
 		if l.adm != nil {
@@ -231,14 +215,12 @@ func (l *Live) Result() (ScenarioResult, error) {
 	if l.epoch == 0 {
 		return ScenarioResult{}, fmt.Errorf("cluster: live scenario has no completed epochs to report")
 	}
-	out := ScenarioResult{
-		Schedule:  l.c.Schedule.Name(),
-		Dispatch:  l.c.Dispatch,
-		Epoch:     l.c.Epoch,
-		TotalTime: l.c.total,
-		Overload:  l.c.Overload.Policy,
-	}
+	out := l.c.newResult()
 	realized := l.realized[:l.epoch]
+	// Realized timelines become ordinary timeline classes, ordered like
+	// the open-loop classifier's output (first-member position), so the
+	// open-loop aggregation runs unchanged; that is what lets the oracle
+	// reproduce the open-loop goldens bit-for-bit.
 	classes := append([]*liveClass(nil), l.classes...)
 	sort.Slice(classes, func(i, j int) bool { return classes[i].rep < classes[j].rep })
 	tclasses := make([]timelineClass, len(classes))
@@ -289,18 +271,14 @@ func (l *Live) Result() (ScenarioResult, error) {
 // live fleet is never disturbed.
 func (l *Live) Fork() *Live {
 	n := &Live{
-		c:        l.c,
-		part:     l.part,
-		r:        l.r,
-		plan:     l.plan,
-		faults:   l.faults,
-		replay:   l.replay,
-		realized: append([]epochWindow(nil), l.realized...),
-		targets:  append([]int(nil), l.targets...),
-		forced:   append([]bool(nil), l.forced...),
-		tels:     append([]FleetTelemetry(nil), l.tels...),
-		target:   l.target,
-		epoch:    l.epoch,
+		scenarioPlan: l.scenarioPlan,
+		replay:       l.replay,
+		realized:     append([]epochWindow(nil), l.realized...),
+		targets:      append([]int(nil), l.targets...),
+		forced:       append([]bool(nil), l.forced...),
+		tels:         append([]FleetTelemetry(nil), l.tels...),
+		target:       l.target,
+		epoch:        l.epoch,
 	}
 	if l.adm != nil {
 		admCopy := *l.adm
@@ -344,20 +322,9 @@ func (l *Live) rebuildController() Controller {
 // forks, just-restored fleets) by prefix replay, in parallel.
 func (l *Live) materialize() error {
 	return l.r.Each(len(l.classes), func(ci int) error {
-		cl := l.classes[ci]
-		if cl.ins != nil {
-			return nil
+		if cl := l.classes[ci]; cl.ins == nil {
+			return cl.replay(l.c.ParkDrained, "snapshot replay")
 		}
-		cur, err := runner.NewCursor(cl.node, l.c.ParkDrained)
-		if err != nil {
-			return fmt.Errorf("cluster: node %d snapshot replay: %w", cl.rep, err)
-		}
-		for i, iv := range cl.intervals {
-			if _, err := cur.Step(iv); err != nil {
-				return fmt.Errorf("cluster: node %d snapshot replay interval %d: %w", cl.rep, i, err)
-			}
-		}
-		cl.ins = cur
 		return nil
 	})
 }

@@ -25,16 +25,8 @@ func TestNormalizeRejectsInvalidConfigs(t *testing.T) {
 	}{
 		{"nil schedule", func(c *ScenarioConfig) { c.Schedule = nil }, "needs a schedule"},
 		{"negative epoch", func(c *ScenarioConfig) { c.Epoch = -1 }, "negative epoch"},
-		{"negative unpark latency", func(c *ScenarioConfig) { c.UnparkLatency = -1 }, "negative unpark penalty"},
-		{"negative unpark power", func(c *ScenarioConfig) { c.UnparkPowerW = -1 }, "negative unpark penalty"},
 		{"negative replicas", func(c *ScenarioConfig) { c.Replicas = -1 }, "negative replicas"},
 		{"replicas exceed seed plane", func(c *ScenarioConfig) { c.Replicas = xrand.MaxReplicas }, "seed plane"},
-		{"cold with replicas", func(c *ScenarioConfig) { c.ColdEpochs = true; c.Replicas = 1 }, "need the warm path"},
-		{"cold with compact nodes", func(c *ScenarioConfig) { c.ColdEpochs = true; c.CompactNodes = true }, "need the warm path"},
-		{"cold with controller", func(c *ScenarioConfig) {
-			c.ColdEpochs = true
-			c.Controller = ControllerSpec{Name: ControllerReactive}
-		}, "controller needs the warm path"},
 		{"unknown controller", func(c *ScenarioConfig) {
 			c.Controller = ControllerSpec{Name: "psychic"}
 		}, "unknown controller"},
@@ -56,10 +48,6 @@ func TestNormalizeRejectsInvalidConfigs(t *testing.T) {
 		{"no nodes", func(c *ScenarioConfig) { c.Nodes = nil }, ""},
 		{"unknown dispatch", func(c *ScenarioConfig) { c.Dispatch = "psychic" }, "dispatch"},
 		{"negative target util", func(c *ScenarioConfig) { c.TargetUtil = -0.5 }, ""},
-		{"cold with faults", func(c *ScenarioConfig) {
-			c.ColdEpochs = true
-			c.Faults.Nodes = []NodeFault{{Node: 0, Kind: FaultCrash, Start: 0, End: 1}}
-		}, "fault injection needs the warm path"},
 		{"unknown fault kind", func(c *ScenarioConfig) {
 			c.Faults.Nodes = []NodeFault{{Node: 0, Kind: "gremlin", Start: 0, End: 1}}
 		}, "unknown kind"},
@@ -154,9 +142,6 @@ func TestNormalizeResolvesDefaults(t *testing.T) {
 	}
 	if r.total != total {
 		t.Errorf("total = %v, want %v", r.total, total)
-	}
-	if r.unparkLatency != sim.Millisecond || r.unparkPowerW != 30 {
-		t.Errorf("unpark penalty = %v/%vW, want 1ms/30W", r.unparkLatency, r.unparkPowerW)
 	}
 	if r.restartLatency != 10*sim.Millisecond || r.restartPowerW != 35 {
 		t.Errorf("restart penalty = %v/%vW, want 10ms/35W", r.restartLatency, r.restartPowerW)

@@ -37,8 +37,7 @@ func OverloadPolicies() []string {
 // set's capacity at MaxUtil (per-node capacityQPS summed over the up,
 // routed nodes) and applies the policy to the excess. The zero value
 // disables admission control entirely and keeps every scenario result
-// bit-identical to a run that predates it. Warm path only (rejected
-// with ColdEpochs).
+// bit-identical to a run that predates it.
 type OverloadSpec struct {
 	// Policy picks a built-in policy (see OverloadPolicies). Empty
 	// disables admission control.

@@ -54,10 +54,6 @@ func TestOverloadNormalize(t *testing.T) {
 		{"negative backlog cap", func(c *ScenarioConfig) {
 			c.Overload = OverloadSpec{Policy: OverloadQueue, MaxBacklogSec: -1}
 		}, "backlog cap"},
-		{"cold path rejected", func(c *ScenarioConfig) {
-			c.Overload.Policy = OverloadShed
-			c.ColdEpochs = true
-		}, "needs the warm path"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

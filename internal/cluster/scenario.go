@@ -16,29 +16,19 @@ import (
 // consolidation parks newly drained nodes as load falls and unparks
 // them as it returns.
 //
-// Two execution paths produce the per-epoch measurements:
-//
-//   - The warm path (default): every node runs its entire rate timeline
-//     on one resumable server.Instance — a single warmup for the whole
-//     scenario, engine/C-state/RNG state carried across epoch
-//     boundaries, and park/unpark simulated as real drain/deep-idle/
-//     exit-latency transitions. Each node's timeline is one independent
-//     pipelined runner task, so scenario wall-clock is the slowest
-//     node, not the sum of per-epoch maxima.
-//   - The cold path (ColdEpochs): the original epoch-stepped engine —
-//     every epoch re-creates every node simulation from scratch (per
-//     epoch warmup, seed mixed per epoch) and approximates unparks with
-//     the synthetic UnparkLatency/UnparkPowerW penalty. Kept bit-for-bit
-//     for reproducibility of existing goldens.
+// Every node runs its entire rate timeline on one resumable
+// server.Instance: a single warmup for the whole scenario,
+// engine/C-state/RNG state carried across epoch boundaries, and
+// park/unpark simulated as real drain/deep-idle/exit-latency
+// transitions. Two engines step those timelines, picked by the input:
+// an open-loop run hands each timeline class to the pipelined runner
+// as one independent task, so scenario wall-clock is the slowest class,
+// not the sum of per-epoch maxima; a run with a Controller steps the
+// fleet epoch by epoch through Live.
 type ScenarioConfig struct {
 	// Nodes are the per-node server configurations (see Config.Nodes).
-	// On the warm path each node's RatePerSec/Schedule/Duration are
-	// ignored (the epoch plan supplies them) and Warmup is paid once per
-	// scenario. On the cold path each node's Duration is overridden per
-	// epoch, Warmup is honored per epoch (re-dispatch reconvergence),
-	// and node i's epoch e runs with a seed mixed from (Seed_i, e) so
-	// epochs see independent randomness while epoch 0 reproduces the
-	// node's own seed exactly.
+	// Each node's RatePerSec/Schedule/Duration are ignored (the epoch
+	// plan supplies them) and Warmup is paid once per scenario.
 	Nodes []server.Config
 	// Schedule is the offered-load timeline partitioned across the fleet.
 	Schedule *scenario.Schedule
@@ -49,36 +39,15 @@ type ScenarioConfig struct {
 	Dispatch    string
 	TargetUtil  float64
 	ParkDrained bool
-	// ColdEpochs selects the legacy cold-start path (see above).
-	ColdEpochs bool
-	// UnparkLatency is the cold path's synthetic unpark cost: the time a
-	// parked node needs to come back (OS un-quiesce, package idle exit,
-	// service re-warm); requests routed to it during that window wait at
-	// least this long, so it floors the epoch's worst p99 (default 1ms;
-	// zero means "use the default" — set UnparkFree for an explicit
-	// free unpark). The warm path simulates the transition instead and
-	// ignores both knobs.
-	UnparkLatency sim.Time
-	// UnparkPowerW is the package power burned during the cold path's
-	// unpark flow (default 30W, the full two-socket uncore: the package
-	// is awake but doing no useful work yet; zero means "use the
-	// default").
-	UnparkPowerW float64
-	// UnparkFree makes unparks explicitly free on the cold path: both
-	// penalties resolve to zero regardless of the fields above. Without
-	// it, a zero UnparkLatency/UnparkPowerW silently means "default", so
-	// a free unpark would be unrepresentable.
-	UnparkFree bool
-	// Replicas is the number of extra seeded replicas the warm path
-	// simulates per timeline equivalence class (the K in "representative
-	// plus K replicas"). Each replica re-runs its class representative's
-	// exact timeline under a seed from the disjoint
-	// xrand.ClassReplicaSeed plane — never colliding with node or
-	// epoch-mixed seeds — and EpochResult.CI / ScenarioResult.CI then
-	// report 95% Student-t confidence intervals over the K+1 samples.
-	// Point estimates always come from the representatives alone, so
-	// setting Replicas adds error bars without perturbing any existing
-	// result bit. Warm path only (rejected with ColdEpochs).
+	// Replicas is the number of extra seeded replicas simulated per
+	// timeline equivalence class (the K in "representative plus K
+	// replicas"). Each replica re-runs its class representative's exact
+	// timeline under a seed from the disjoint xrand.ClassReplicaSeed
+	// plane — never colliding with node seeds — and EpochResult.CI /
+	// ScenarioResult.CI then report 95% Student-t confidence intervals
+	// over the K+1 samples. Point estimates always come from the
+	// representatives alone, so setting Replicas adds error bars without
+	// perturbing any existing result bit.
 	Replicas int
 	// Controller selects the fleet autoscaling policy (see
 	// ControllerSpec). The zero value keeps today's open-loop behavior:
@@ -87,32 +56,27 @@ type ScenarioConfig struct {
 	// through the incremental closed-loop engine instead, where each
 	// epoch's rate partition is decided at run time from the previous
 	// epoch's telemetry (the oracle replays the precomputed plan and so
-	// reproduces the open-loop results bit-for-bit). Warm path only
-	// (rejected with ColdEpochs).
+	// reproduces the open-loop results bit-for-bit).
 	Controller ControllerSpec
 	// Faults injects node- and cluster-level faults into the run:
 	// explicit per-node crash/straggler/thermal windows plus a seeded
 	// correlated fault process (see FaultSpec). The zero value is a
 	// healthy fleet and keeps every result bit-identical to a run that
-	// predates fault injection. Warm path only (rejected with
-	// ColdEpochs).
+	// predates fault injection.
 	Faults FaultSpec
 	// Overload enables per-epoch admission control: when the offered
 	// rate exceeds the active fleet's capacity (per-node capacity at
 	// MaxUtil, summed over the up, routed nodes), the excess is shed,
 	// queued or admitted-and-recorded per the policy (see OverloadSpec).
 	// The zero value disables admission control and keeps every result
-	// bit-identical to a run that predates it. Warm path only (rejected
-	// with ColdEpochs).
+	// bit-identical to a run that predates it.
 	Overload OverloadSpec
-	// CompactNodes makes the warm path skip per-node materialization:
-	// EpochResult.Fleet.Nodes stays nil and fleet aggregation runs
-	// class-weighted in O(classes) per epoch instead of O(nodes) — the
-	// mode that keeps a 100K-node fleet's memory and aggregation cost
-	// proportional to its handful of equivalence classes. All
-	// fleet-level aggregates are computed from the same per-class
-	// measurements either way. Warm path only (rejected with
-	// ColdEpochs).
+	// CompactNodes skips per-node materialization: EpochResult.Fleet.Nodes
+	// stays nil and fleet aggregation runs class-weighted in O(classes)
+	// per epoch instead of O(nodes) — the mode that keeps a 100K-node
+	// fleet's memory and aggregation cost proportional to its handful of
+	// equivalence classes. All fleet-level aggregates are computed from
+	// the same per-class measurements either way.
 	CompactNodes bool
 	// Runner executes the node simulations (default runner.Default()).
 	Runner *runner.Runner
@@ -124,8 +88,6 @@ type ScenarioConfig struct {
 // constructor.
 type resolvedScenario struct {
 	ScenarioConfig
-	unparkLatency  sim.Time
-	unparkPowerW   float64
 	restartLatency sim.Time
 	restartPowerW  float64
 	total          sim.Time
@@ -134,24 +96,17 @@ type resolvedScenario struct {
 // Normalize validates the configuration and resolves every defaultable
 // knob to its effective value, in one pass: dispatch policy, target
 // utilization, the epoch length (whole schedule when unset or
-// over-long), the cold path's unpark penalty (UnparkFree collapsing
-// both knobs to zero), and the controller's tuning defaults. It is the
+// over-long), the crash restart penalty (RestartFree collapsing both
+// knobs to zero), and the controller's tuning defaults. It is the
 // single path behind RunScenario, Validate and the CLIs, so every
 // caller gets identical errors for identical mistakes.
 func (c ScenarioConfig) Normalize() (resolvedScenario, error) {
-	r := resolvedScenario{
-		ScenarioConfig: c,
-		unparkLatency:  c.UnparkLatency,
-		unparkPowerW:   c.UnparkPowerW,
-	}
+	r := resolvedScenario{ScenarioConfig: c}
 	if c.Schedule == nil {
 		return r, fmt.Errorf("cluster: scenario needs a schedule")
 	}
 	if c.Epoch < 0 {
 		return r, fmt.Errorf("cluster: negative epoch %d", c.Epoch)
-	}
-	if c.UnparkLatency < 0 || c.UnparkPowerW < 0 {
-		return r, fmt.Errorf("cluster: negative unpark penalty")
 	}
 	if c.Replicas < 0 {
 		return r, fmt.Errorf("cluster: negative replicas %d", c.Replicas)
@@ -159,18 +114,6 @@ func (c ScenarioConfig) Normalize() (resolvedScenario, error) {
 	if c.Replicas >= xrand.MaxReplicas {
 		return r, fmt.Errorf("cluster: replicas %d exceed the seed plane's %d sub-blocks per class",
 			c.Replicas, xrand.MaxReplicas)
-	}
-	if c.ColdEpochs && (c.Replicas > 0 || c.CompactNodes) {
-		return r, fmt.Errorf("cluster: replicas and compact nodes need the warm path (ColdEpochs is set)")
-	}
-	if c.ColdEpochs && c.Controller.enabled() {
-		return r, fmt.Errorf("cluster: a fleet controller needs the warm path (ColdEpochs is set)")
-	}
-	if c.ColdEpochs && c.Faults.enabled() {
-		return r, fmt.Errorf("cluster: fault injection needs the warm path (ColdEpochs is set)")
-	}
-	if c.ColdEpochs && c.Overload.enabled() {
-		return r, fmt.Errorf("cluster: overload admission control needs the warm path (ColdEpochs is set)")
 	}
 	if c.Faults.RestartLatency < 0 || c.Faults.RestartPowerW < 0 {
 		return r, fmt.Errorf("cluster: negative restart penalty")
@@ -180,16 +123,6 @@ func (c ScenarioConfig) Normalize() (resolvedScenario, error) {
 	}
 	if c.TargetUtil == 0 {
 		r.TargetUtil = defaultTargetUtil
-	}
-	if c.UnparkFree {
-		r.unparkLatency, r.unparkPowerW = 0, 0
-	} else {
-		if r.unparkLatency == 0 {
-			r.unparkLatency = sim.Millisecond
-		}
-		if r.unparkPowerW == 0 {
-			r.unparkPowerW = 30
-		}
 	}
 	r.restartLatency = c.Faults.RestartLatency
 	r.restartPowerW = c.Faults.RestartPowerW
@@ -232,15 +165,6 @@ func (c ScenarioConfig) Normalize() (resolvedScenario, error) {
 	return r, nil
 }
 
-// epochSeed mixes the epoch index into node seeds for the cold path —
-// now hosted in xrand alongside the class/replica seed plane, so the
-// disjointness of every seed consumer is proven in one place. Epoch 0
-// keeps the node's own seed; that identity is what makes the one-epoch
-// scenario reproduce the static Run bit-for-bit.
-func epochSeed(seed uint64, epoch int) uint64 {
-	return xrand.EpochSeed(seed, epoch)
-}
-
 // EpochResult is one re-dispatch interval's fleet measurement.
 type EpochResult struct {
 	// Epoch indexes the interval; [Start, End) is its schedule window.
@@ -257,12 +181,12 @@ type EpochResult struct {
 	// drained nodes whether or not parking is enabled.
 	Parked int
 	// Unparked counts nodes that were parked last epoch and received
-	// load this epoch; UnparkEnergyJ is the synthetic penalty energy
-	// they burned (already folded into Fleet.FleetPowerW/FleetEnergyJ).
-	// UnparkEnergyJ is a cold-path quantity: the warm path simulates the
-	// unpark (drain, deep-idle residency, real exit latency on the first
-	// post-unpark arrival), so its cost appears in the measured node
-	// results and this field stays zero.
+	// load this epoch. UnparkEnergyJ is always zero: the unpark is
+	// simulated (drain, deep-idle residency, real exit latency on the
+	// first post-unpark arrival), so its cost is in the measured node
+	// results. The field is kept only because the benchmark's pinned
+	// result digests hash the ScenarioResult JSON, which includes it;
+	// dropping it means re-pinning those digests.
 	Unparked      int
 	UnparkEnergyJ float64
 	// Down counts nodes crashed (dark) for this epoch: nothing was
@@ -270,8 +194,7 @@ type EpochResult struct {
 	// rebuilt cold at the start of this epoch after a crash, and
 	// RestartEnergyJ is the synthetic restart penalty energy they burned
 	// (already folded into Fleet.FleetPowerW/FleetEnergyJ, with the
-	// restart latency flooring the epoch's worst p99 — the warm-path
-	// analogue of the cold path's unpark penalty fold).
+	// restart latency flooring the epoch's worst p99).
 	Down           int
 	Restarted      int
 	RestartEnergyJ float64
@@ -293,7 +216,7 @@ type EpochResult struct {
 	// CompactNodes its Nodes field stays nil.
 	Fleet Result
 	// CI holds the epoch's replica-ensemble 95% confidence intervals
-	// when ScenarioConfig.Replicas > 0 (warm path), nil otherwise.
+	// when ScenarioConfig.Replicas > 0, nil otherwise.
 	CI *FleetCI
 }
 
@@ -331,7 +254,7 @@ type ScenarioResult struct {
 	// Phases aggregates epochs by schedule phase, in first-seen order.
 	Phases []PhaseSummary
 
-	// FleetEnergyJ is total fleet energy including unpark penalties.
+	// FleetEnergyJ is total fleet energy including restart penalties.
 	FleetEnergyJ float64
 	// AvgFleetPowerW is the time-weighted mean fleet power.
 	AvgFleetPowerW float64
@@ -367,15 +290,14 @@ type ScenarioResult struct {
 	SheddedRequests float64
 	BacklogRate     float64
 
-	// Classes counts the timeline equivalence classes the warm path
-	// collapsed the fleet into (one per node when nothing collapses;
-	// zero on the cold path, which does not classify).
+	// Classes counts the timeline equivalence classes the run
+	// collapsed the fleet into (one per node when nothing collapses).
 	Classes int
 	// ReplicaRuns counts the extra seeded replica timelines executed
-	// (Classes x Replicas on the warm path).
+	// (Classes x Replicas).
 	ReplicaRuns int
 	// CI holds the whole-run replica-ensemble 95% confidence intervals
-	// when Replicas > 0 (warm path), nil otherwise.
+	// when Replicas > 0, nil otherwise.
 	CI *FleetCI
 }
 
@@ -390,8 +312,8 @@ func (c ScenarioConfig) Validate() error {
 // epochWindow is one planned re-dispatch interval: its schedule window,
 // mean rate, covering phase, and the per-node rate partition. The plan
 // depends only on the schedule and the dispatch policy — never on
-// simulation results — which is what lets the warm path hand every node
-// its entire timeline up front.
+// simulation results — which is what lets the open-loop engine hand
+// every node its entire timeline up front.
 type epochWindow struct {
 	start, end sim.Time
 	rate       float64
@@ -448,21 +370,28 @@ func (c resolvedScenario) fleetConfig(rate float64) Config {
 	}
 }
 
-// RunScenario simulates the fleet under the time-varying schedule with
-// epoch-stepped re-dispatch: the schedule is partitioned into an epoch
-// plan up front, every node runs its share, park/unpark bookkeeping is
-// applied, and per-epoch, per-phase and whole-run views are aggregated.
-// The warm path (default) runs each node's entire timeline as one
-// resumable pipelined task; ColdEpochs selects the legacy re-simulate-
-// every-epoch engine (see ScenarioConfig).
-func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
+// scenarioPlan is a normalized scenario with its epoch plan built: the
+// shared front half of RunScenario and NewLive, so both engines step
+// the same plan.
+type scenarioPlan struct {
+	c      resolvedScenario
+	part   func(Config) []float64
+	r      *runner.Runner
+	plan   []epochWindow
+	faults [][]runner.Fault
+}
+
+// newScenarioPlan normalizes the config and partitions the schedule into
+// the epoch plan, with crashed nodes' load re-partitioned over the
+// survivors and admission control applied.
+func newScenarioPlan(cfg ScenarioConfig) (scenarioPlan, error) {
 	c, err := cfg.Normalize()
 	if err != nil {
-		return ScenarioResult{}, err
+		return scenarioPlan{}, err
 	}
 	part, err := partitioner(c.Dispatch)
 	if err != nil {
-		return ScenarioResult{}, err
+		return scenarioPlan{}, err
 	}
 	r := c.Runner
 	if r == nil {
@@ -476,26 +405,55 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 		applyFaultRates(c, part, plan, faults)
 	}
 	// Admission control clips the plan after the fault adjustment, so
-	// capacity reflects crashed nodes. The controlled path re-admits at
-	// run time against the controller's active set; the oracle replays
-	// these planned accounts.
+	// capacity reflects crashed nodes. Controlled epochs re-admit at run
+	// time against the controller's active set; the oracle replays these
+	// planned accounts.
 	applyOverloadPlan(c, part, plan, faults)
-	out := ScenarioResult{
+	return scenarioPlan{c: c, part: part, r: r, plan: plan, faults: faults}, nil
+}
+
+// newResult returns the result with its configuration echo filled in,
+// ready for an engine to add the epochs.
+func (c resolvedScenario) newResult() ScenarioResult {
+	return ScenarioResult{
 		Schedule:  c.Schedule.Name(),
 		Dispatch:  c.Dispatch,
 		Epoch:     c.Epoch,
 		TotalTime: c.total,
 		Overload:  c.Overload.Policy,
 	}
-	switch {
-	case c.ColdEpochs:
-		err = runScenarioCold(c, plan, r, &out)
-	case c.Controller.enabled():
-		err = runScenarioControlled(c, plan, faults, part, r, &out)
-	default:
-		err = runScenarioWarm(c, plan, faults, r, &out)
-	}
+}
+
+// RunScenario simulates the fleet under the time-varying schedule with
+// epoch-stepped re-dispatch: the schedule is partitioned into an epoch
+// plan up front, every node runs its share, park/unpark bookkeeping is
+// applied, and per-epoch, per-phase and whole-run views are aggregated.
+// The input picks the engine: an open-loop run executes each timeline
+// class as one pipelined task (runScenarioWarm); a run with a
+// controller is stepped to completion through Live.
+func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
+	p, err := newScenarioPlan(cfg)
 	if err != nil {
+		return ScenarioResult{}, err
+	}
+	if p.c.Controller.enabled() {
+		l := newLive(p)
+		for !l.Done() {
+			if _, err := l.Step(); err != nil {
+				return ScenarioResult{}, err
+			}
+		}
+		out, err := l.Result()
+		if err != nil {
+			return ScenarioResult{}, err
+		}
+		// Noted here, once per run, not in Result: awserved calls Result
+		// on every request.
+		p.r.NoteClassDedup(len(p.c.Nodes), out.Classes, out.ReplicaRuns)
+		return out, nil
+	}
+	out := p.c.newResult()
+	if err := runScenarioWarm(p.c, p.plan, p.faults, p.r, &out); err != nil {
 		return ScenarioResult{}, err
 	}
 	out.finish()
@@ -627,73 +585,6 @@ func warmEpochsCompact(c resolvedScenario, plan []epochWindow, classes []timelin
 		out.Unparks += ep.Unparked
 		out.Restarts += ep.Restarted
 	}
-}
-
-// runScenarioCold executes the epoch plan with the legacy cold-start
-// engine: a fleet barrier per epoch, a fresh simulation (and warmup) per
-// node per epoch, and the synthetic unpark penalty. Preserved bit-for-
-// bit — TestGoldenScenarioStability pins its fingerprints.
-func runScenarioCold(c resolvedScenario, plan []epochWindow, r *runner.Runner, out *ScenarioResult) error {
-	parked := make([]bool, len(c.Nodes))
-	for e, pw := range plan {
-		window := pw.end - pw.start
-		rates := pw.rates
-		ep := EpochResult{Epoch: e, Start: pw.start, End: pw.end, Phase: pw.phase, RateQPS: pw.rate}
-		nodes := make([]NodeResult, len(c.Nodes))
-		err := r.Each(len(c.Nodes), func(i int) error {
-			cfg := c.Nodes[i]
-			cfg.RatePerSec = rates[i]
-			cfg.Duration = window
-			cfg.Seed = epochSeed(cfg.Seed, e)
-			isParked := false
-			if c.ParkDrained && rates[i] == 0 {
-				cfg = park(cfg)
-				isParked = true
-			}
-			res, err := r.Run(cfg)
-			if err != nil {
-				return fmt.Errorf("cluster: epoch %d node %d: %w", e, i, err)
-			}
-			nodes[i] = NodeResult{Node: i, RateQPS: rates[i], Parked: isParked, Result: res}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-
-		// Park/unpark bookkeeping against the previous epoch's state.
-		for i := range nodes {
-			if nodes[i].Parked {
-				ep.Parked++
-			}
-			if parked[i] && rates[i] > 0 {
-				ep.Unparked++
-			}
-			parked[i] = nodes[i].Parked
-		}
-		ep.Fleet = aggregate(c.fleetConfig(pw.rate), nodes)
-		winSec := float64(window) / 1e9
-		if ep.Unparked > 0 {
-			// The unpark flow burns unparkPowerW for unparkLatency per
-			// node before any request is served; fold the energy into the
-			// epoch's fleet power, and floor the epoch's worst p99 with
-			// the latency the first routed requests had to absorb.
-			ep.UnparkEnergyJ = float64(ep.Unparked) * float64(c.unparkLatency) / 1e9 * c.unparkPowerW
-			ep.Fleet.FleetEnergyJ += ep.UnparkEnergyJ
-			ep.Fleet.FleetPowerW += ep.UnparkEnergyJ / winSec
-			if ep.Fleet.FleetPowerW > 0 {
-				ep.Fleet.QPSPerWatt = ep.Fleet.CompletedPerSec / ep.Fleet.FleetPowerW
-			}
-			if lat := float64(c.unparkLatency) / 1e3; ep.Fleet.WorstP99US < lat {
-				ep.Fleet.WorstP99US = lat
-			}
-		}
-
-		out.Epochs = append(out.Epochs, ep)
-		out.ParkedTimeline = append(out.ParkedTimeline, ep.Parked)
-		out.Unparks += ep.Unparked
-	}
-	return nil
 }
 
 // finish derives the per-phase and whole-run aggregates from the epochs.

@@ -13,13 +13,10 @@ import (
 
 // benchScenarioCfg is the BenchmarkRunScenario configuration: the
 // default diurnal day over a 64-node consolidate fleet, stepped in 24
-// epochs. The warm path pays the 10ms warmup once per node and runs
-// each node's whole timeline as one pipelined task; the cold path pays
-// it 24 times per node behind a fleet barrier per epoch — the 1,536
-// cold simulations the resumable engine eliminates. Each iteration uses
-// a fresh private Runner so memoization never short-circuits the
-// measurement.
-func benchScenarioCfg(cold bool, r *runner.Runner) ScenarioConfig {
+// epochs. Each node pays the 10ms warmup once and runs its whole
+// timeline as one pipelined task. Each iteration uses a fresh private
+// Runner so memoization never short-circuits the measurement.
+func benchScenarioCfg(r *runner.Runner) ScenarioConfig {
 	template := server.Config{
 		Platform: governor.Baseline,
 		Profile:  workload.Memcached(),
@@ -38,41 +35,33 @@ func benchScenarioCfg(cold bool, r *runner.Runner) ScenarioConfig {
 		Epoch:       2 * sim.Millisecond,
 		Dispatch:    DispatchConsolidate,
 		ParkDrained: true,
-		ColdEpochs:  cold,
 		Runner:      r,
 	}
 }
 
-func benchRunScenario(b *testing.B, cold bool) {
+// BenchmarkRunScenarioWarm measures the open-loop engine on the
+// default diurnal 64-node configuration.
+func BenchmarkRunScenarioWarm(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunScenario(benchScenarioCfg(cold, runner.New(0))); err != nil {
+		if _, err := RunScenario(benchScenarioCfg(runner.New(0))); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkRunScenarioWarm measures the resumable warm path on the
-// default diurnal 64-node configuration.
-func BenchmarkRunScenarioWarm(b *testing.B) { benchRunScenario(b, false) }
-
-// BenchmarkRunScenarioCold measures the legacy cold-start path on the
-// identical configuration — the denominator of the warm path's
-// speedup claim.
-func BenchmarkRunScenarioCold(b *testing.B) { benchRunScenario(b, true) }
-
-// BenchmarkRunScenarioWarmReactive measures the closed-loop incremental
-// engine on the same configuration as BenchmarkRunScenarioWarm, with the
+// BenchmarkRunScenarioWarmReactive measures the closed-loop engine
+// (Live) on the same configuration as BenchmarkRunScenarioWarm, with the
 // reactive controller in the loop: per-epoch telemetry aggregation,
 // controller evaluation, and live-class rate-divergence splits on top of
-// the warm path. The delta against BenchmarkRunScenarioWarm is the
+// the node simulations. The delta against BenchmarkRunScenarioWarm is the
 // control plane's overhead.
 func BenchmarkRunScenarioWarmReactive(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg := benchScenarioCfg(false, runner.New(0))
+		cfg := benchScenarioCfg(runner.New(0))
 		cfg.Controller = ControllerSpec{Name: ControllerReactive}
 		if _, err := RunScenario(cfg); err != nil {
 			b.Fatal(err)

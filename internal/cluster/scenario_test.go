@@ -28,166 +28,6 @@ func runScenario(t *testing.T, c ScenarioConfig) ScenarioResult {
 	return res
 }
 
-// TestOneEpochConstantMatchesStaticRun is the cold engine's anchor: a
-// one-phase constant schedule stepped in a single epoch equal to the run
-// length must reproduce the static cluster.Run bit-for-bit — identical
-// per-node results and identical fleet aggregates.
-func TestOneEpochConstantMatchesStaticRun(t *testing.T) {
-	nodes := Homogeneous(3, quickNode(0))
-	dur := nodes[0].Duration // quickNode: 100ms measured window
-	for _, policy := range Policies() {
-		static, err := Run(Config{
-			Nodes:       nodes,
-			RateQPS:     240e3,
-			Dispatch:    policy,
-			ParkDrained: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sched := mustSchedule(scenario.Constant("steady", 240e3, dur))
-		dyn := runScenario(t, ScenarioConfig{
-			Nodes:       nodes,
-			Schedule:    sched,
-			Epoch:       dur,
-			Dispatch:    policy,
-			ParkDrained: true,
-			ColdEpochs:  true,
-		})
-		if len(dyn.Epochs) != 1 {
-			t.Fatalf("%s: epochs = %d, want 1", policy, len(dyn.Epochs))
-		}
-		ep := dyn.Epochs[0]
-		if !reflect.DeepEqual(ep.Fleet, static) {
-			t.Errorf("%s: one-epoch scenario fleet diverged from static Run", policy)
-		}
-		if ep.Unparked != 0 || ep.UnparkEnergyJ != 0 {
-			t.Errorf("%s: phantom unparks on first epoch: %d (%vJ)", policy, ep.Unparked, ep.UnparkEnergyJ)
-		}
-		if dyn.AvgFleetPowerW != static.FleetPowerW {
-			t.Errorf("%s: scenario avg power %v != static fleet power %v",
-				policy, dyn.AvgFleetPowerW, static.FleetPowerW)
-		}
-		if dyn.WorstP99US != static.WorstP99US {
-			t.Errorf("%s: worst p99 %v != static %v", policy, dyn.WorstP99US, static.WorstP99US)
-		}
-	}
-}
-
-// TestEpochSeedIdentity pins the seed-mixing identity the equivalence
-// above relies on, and that later epochs get fresh randomness.
-func TestEpochSeedIdentity(t *testing.T) {
-	if got := epochSeed(42, 0); got != 42 {
-		t.Fatalf("epoch 0 seed = %d, want identity", got)
-	}
-	seen := map[uint64]bool{}
-	for e := 0; e < 100; e++ {
-		s := epochSeed(42, e)
-		if seen[s] {
-			t.Fatalf("epoch seed collision at epoch %d", e)
-		}
-		seen[s] = true
-	}
-}
-
-// TestDiurnalConsolidateParksAtTroughUnparksAtPeak is the cold path's
-// headline behavior: under a diurnal day with consolidate+park, the
-// parked-node timeline must follow the load — nodes parked through the
-// trough, unparked (with recorded transitions and the synthetic energy
-// penalty) as the peak builds.
-func TestDiurnalConsolidateParksAtTroughUnparksAtPeak(t *testing.T) {
-	node := quickNode(0)
-	node.Duration = 30 * sim.Millisecond
-	node.Warmup = 5 * sim.Millisecond
-	nodes := Homogeneous(4, node)
-	total := 240 * sim.Millisecond
-	// Trough 0.8M QPS (one packed node), peak 3.2M (most of the fleet).
-	sched := mustSchedule(scenario.Diurnal(2e6, 0.6, total, 8))
-	res := runScenario(t, ScenarioConfig{
-		Nodes:       nodes,
-		Schedule:    sched,
-		Epoch:       total / 8,
-		Dispatch:    DispatchConsolidate,
-		ParkDrained: true,
-		ColdEpochs:  true,
-	})
-	if len(res.Epochs) != 8 || len(res.ParkedTimeline) != 8 {
-		t.Fatalf("epochs = %d, timeline = %d, want 8", len(res.Epochs), len(res.ParkedTimeline))
-	}
-	// Trough (first epoch) parks nodes; peak (middle epochs) wakes them.
-	troughParked := res.ParkedTimeline[0]
-	peakParked := res.ParkedTimeline[4]
-	if troughParked <= peakParked {
-		t.Errorf("parked timeline flat: trough %d vs peak %d (timeline %v)",
-			troughParked, peakParked, res.ParkedTimeline)
-	}
-	if troughParked < 2 {
-		t.Errorf("trough parked only %d of 4 nodes (timeline %v)", troughParked, res.ParkedTimeline)
-	}
-	// Rising load must have unparked nodes at least once, paying energy.
-	if res.Unparks == 0 {
-		t.Fatal("no unpark transitions recorded over a diurnal day")
-	}
-	var penalty float64
-	for _, ep := range res.Epochs {
-		penalty += ep.UnparkEnergyJ
-	}
-	if penalty <= 0 {
-		t.Error("unparks recorded but no unpark energy charged")
-	}
-	// The trough phase must burn less fleet power than the peak phase.
-	var trough, peak *PhaseSummary
-	for i := range res.Phases {
-		p := &res.Phases[i]
-		if trough == nil || p.AvgRateQPS < trough.AvgRateQPS {
-			trough = p
-		}
-		if peak == nil || p.AvgRateQPS > peak.AvgRateQPS {
-			peak = p
-		}
-	}
-	if trough.AvgFleetPowerW >= peak.AvgFleetPowerW {
-		t.Errorf("trough power %v not below peak power %v",
-			trough.AvgFleetPowerW, peak.AvgFleetPowerW)
-	}
-	if trough.AvgParkedNodes <= peak.AvgParkedNodes {
-		t.Errorf("trough parked %v not above peak parked %v",
-			trough.AvgParkedNodes, peak.AvgParkedNodes)
-	}
-}
-
-// TestUnparkLatencyFloorsWorstP99 pins the latency half of the unpark
-// penalty: requests routed to a node mid-unpark wait at least the unpark
-// latency, so an epoch with unparks cannot report a better worst p99.
-func TestUnparkLatencyFloorsWorstP99(t *testing.T) {
-	node := quickNode(0)
-	node.Duration = 30 * sim.Millisecond
-	node.Warmup = 5 * sim.Millisecond
-	nodes := Homogeneous(4, node)
-	total := 120 * sim.Millisecond
-	// Low base parks most nodes; the 6x spike wakes them.
-	sched := mustSchedule(scenario.Spike(600e3, 6, total, total/3, total/3))
-	const unparkLat = 5 * sim.Millisecond
-	res := runScenario(t, ScenarioConfig{
-		Nodes:         nodes,
-		Schedule:      sched,
-		Epoch:         total / 3,
-		Dispatch:      DispatchConsolidate,
-		ParkDrained:   true,
-		UnparkLatency: unparkLat,
-		ColdEpochs:    true,
-	})
-	if res.Unparks == 0 {
-		t.Fatal("spike produced no unparks")
-	}
-	for _, ep := range res.Epochs {
-		if ep.Unparked > 0 && ep.Fleet.WorstP99US < 5000 {
-			t.Errorf("epoch %d unparked %d nodes but worst p99 %.0fus below the 5000us unpark floor",
-				ep.Epoch, ep.Unparked, ep.Fleet.WorstP99US)
-		}
-	}
-}
-
 // TestDrainedIsNotParkedWithoutParkDrained pins the drained/parked
 // distinction: with parking disabled, consolidate still drains nodes
 // (Fleet.IdleNodes > 0) but nothing is parked — the timeline, per-epoch
@@ -277,9 +117,6 @@ func TestScenarioValidation(t *testing.T) {
 	}
 	if _, err := RunScenario(ScenarioConfig{Nodes: nodes, Schedule: sched, Epoch: -1}); err == nil {
 		t.Error("negative epoch accepted")
-	}
-	if _, err := RunScenario(ScenarioConfig{Nodes: nodes, Schedule: sched, UnparkLatency: -1}); err == nil {
-		t.Error("negative unpark latency accepted")
 	}
 	if _, err := RunScenario(ScenarioConfig{Nodes: nodes, Schedule: sched, Dispatch: "route-66"}); err == nil {
 		t.Error("unknown policy accepted")

@@ -9,64 +9,42 @@ import (
 	"repro/internal/sim"
 )
 
-// TestWarmOneEpochSpreadMatchesStaticRun is the warm engine's anchor: a
-// one-phase constant schedule in a single epoch, spread across nodes
-// that all carry load, must reproduce the static cluster.Run bit-for-bit
-// — the resumable Instance's first interval is the one-shot simulation.
-func TestWarmOneEpochSpreadMatchesStaticRun(t *testing.T) {
+// TestWarmOneEpochMatchesStaticRun is the scenario engine's anchor: a
+// one-phase constant schedule in a single epoch must reproduce the
+// static cluster.Run bit-for-bit — the resumable Instance's first
+// interval is the one-shot simulation. Consolidate with ParkDrained,
+// the one combination that parks a node at this load, is left out on
+// purpose: the scenario simulates the park transition on the running
+// instance, while the static run reconfigures the parked node up front
+// (park), so the two are different simulations.
+func TestWarmOneEpochMatchesStaticRun(t *testing.T) {
 	nodes := Homogeneous(3, quickNode(0))
 	dur := nodes[0].Duration
-	static, err := Run(Config{Nodes: nodes, RateQPS: 240e3})
-	if err != nil {
-		t.Fatal(err)
-	}
 	sched := mustSchedule(scenario.Constant("steady", 240e3, dur))
-	warm := runScenario(t, ScenarioConfig{Nodes: nodes, Schedule: sched, Epoch: dur})
-	if len(warm.Epochs) != 1 {
-		t.Fatalf("epochs = %d, want 1", len(warm.Epochs))
-	}
-	if !reflect.DeepEqual(warm.Epochs[0].Fleet, static) {
-		t.Errorf("warm one-epoch scenario fleet diverged from static Run\n got %+v\nwant %+v",
-			warm.Epochs[0].Fleet, static)
-	}
-}
-
-// TestWarmDeterministicAndDistinctFromCold pins that the warm path is
-// reproducible, and that it is a genuinely different engine from the
-// cold path (continuous state vs per-epoch cold starts) — while both
-// agree on the schedule bookkeeping (windows, rates, phases).
-func TestWarmDeterministicAndDistinctFromCold(t *testing.T) {
-	nodes := Homogeneous(2, quickNode(0))
-	sched := mustSchedule(scenario.ByName(scenario.NameRamp, 300e3, 100*sim.Millisecond))
-	cfg := ScenarioConfig{Nodes: nodes, Schedule: sched, Epoch: 25 * sim.Millisecond}
-	a := runScenario(t, cfg)
-	b := runScenario(t, cfg)
-	if !reflect.DeepEqual(a, b) {
-		t.Error("warm scenario run not deterministic")
-	}
-	cold := cfg
-	cold.ColdEpochs = true
-	c := runScenario(t, cold)
-	if len(a.Epochs) != len(c.Epochs) {
-		t.Fatalf("warm %d epochs vs cold %d", len(a.Epochs), len(c.Epochs))
-	}
-	for e := range a.Epochs {
-		aw, cw := a.Epochs[e], c.Epochs[e]
-		if aw.Start != cw.Start || aw.End != cw.End || aw.RateQPS != cw.RateQPS || aw.Phase != cw.Phase {
-			t.Errorf("epoch %d plan diverged: warm [%d,%d)@%v/%s, cold [%d,%d)@%v/%s",
-				e, aw.Start, aw.End, aw.RateQPS, aw.Phase, cw.Start, cw.End, cw.RateQPS, cw.Phase)
+	for _, tc := range []struct {
+		dispatch string
+		park     bool
+	}{
+		{DispatchSpread, false},
+		{DispatchLeastLoaded, false},
+		{DispatchConsolidate, false},
+		{DispatchSpread, true},
+		{DispatchLeastLoaded, true},
+	} {
+		static, err := Run(Config{Nodes: nodes, RateQPS: 240e3, Dispatch: tc.dispatch, ParkDrained: tc.park})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Beyond epoch 0 the engines must differ: cold re-warms from mixed
-	// seeds, warm continues one simulation.
-	same := true
-	for e := 1; e < len(a.Epochs); e++ {
-		if a.Epochs[e].Fleet.FleetPowerW != c.Epochs[e].Fleet.FleetPowerW {
-			same = false
+		warm := runScenario(t, ScenarioConfig{
+			Nodes: nodes, Schedule: sched, Epoch: dur, Dispatch: tc.dispatch, ParkDrained: tc.park,
+		})
+		if len(warm.Epochs) != 1 {
+			t.Fatalf("%s park=%v: epochs = %d, want 1", tc.dispatch, tc.park, len(warm.Epochs))
 		}
-	}
-	if same {
-		t.Error("warm and cold paths produced identical per-epoch power — cold path not actually distinct")
+		if !reflect.DeepEqual(warm.Epochs[0].Fleet, static) {
+			t.Errorf("%s park=%v: one-epoch scenario fleet diverged from static Run\n got %+v\nwant %+v",
+				tc.dispatch, tc.park, warm.Epochs[0].Fleet, static)
+		}
 	}
 }
 
@@ -151,64 +129,6 @@ func TestWarmDiurnalConsolidateParksAndUnparksForReal(t *testing.T) {
 	}
 	if trough.AvgFleetPowerW >= peak.AvgFleetPowerW {
 		t.Errorf("trough power %v not below peak power %v", trough.AvgFleetPowerW, peak.AvgFleetPowerW)
-	}
-}
-
-// TestUnparkFreeRepresentable is the zero-value footgun regression: an
-// explicit free unpark must be expressible on the cold path — no energy
-// penalty charged and no p99 floor — while the zero value still means
-// "default 1ms/30W".
-func TestUnparkFreeRepresentable(t *testing.T) {
-	node := quickNode(0)
-	node.Duration = 30 * sim.Millisecond
-	node.Warmup = 5 * sim.Millisecond
-	nodes := Homogeneous(4, node)
-	total := 120 * sim.Millisecond
-	sched := mustSchedule(scenario.Spike(600e3, 6, total, total/3, total/3))
-	base := ScenarioConfig{
-		Nodes:       nodes,
-		Schedule:    sched,
-		Epoch:       total / 3,
-		Dispatch:    DispatchConsolidate,
-		ParkDrained: true,
-		ColdEpochs:  true,
-	}
-	defaulted := runScenario(t, base)
-	if defaulted.Unparks == 0 {
-		t.Fatal("spike produced no unparks")
-	}
-	var defaultPenalty float64
-	for _, ep := range defaulted.Epochs {
-		defaultPenalty += ep.UnparkEnergyJ
-	}
-	if defaultPenalty <= 0 {
-		t.Fatal("zero-value unpark fields no longer default to a nonzero penalty")
-	}
-	free := base
-	free.UnparkFree = true
-	freeRes := runScenario(t, free)
-	if freeRes.Unparks != defaulted.Unparks {
-		t.Fatalf("free-unpark run diverged in unpark count: %d vs %d", freeRes.Unparks, defaulted.Unparks)
-	}
-	for _, ep := range freeRes.Epochs {
-		if ep.UnparkEnergyJ != 0 {
-			t.Errorf("epoch %d charged %vJ with UnparkFree", ep.Epoch, ep.UnparkEnergyJ)
-		}
-		if ep.Unparked > 0 && ep.Fleet.WorstP99US >= 1000 &&
-			defaulted.Epochs[ep.Epoch].Fleet.WorstP99US == 1000 {
-			t.Errorf("epoch %d p99 still floored at the 1ms default with UnparkFree", ep.Epoch)
-		}
-	}
-	// UnparkFree also beats explicit nonzero fields, documented-wins.
-	if resolved, err := free.Normalize(); err != nil {
-		t.Fatalf("Normalize(free): %v", err)
-	} else if resolved.unparkLatency != 0 || resolved.unparkPowerW != 0 {
-		t.Errorf("UnparkFree resolved to %v/%v, want 0/0", resolved.unparkLatency, resolved.unparkPowerW)
-	}
-	if resolved, err := base.Normalize(); err != nil {
-		t.Fatalf("Normalize(base): %v", err)
-	} else if resolved.unparkLatency != sim.Millisecond || resolved.unparkPowerW != 30 {
-		t.Errorf("zero-value fields resolved to %v/%v, want 1ms/30W", resolved.unparkLatency, resolved.unparkPowerW)
 	}
 }
 

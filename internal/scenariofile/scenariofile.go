@@ -67,9 +67,8 @@ type FleetSpec struct {
 	ParkDrained bool `json:"park_drained,omitempty"`
 }
 
-// ExecutionSpec groups the engine-selection knobs.
+// ExecutionSpec groups the replica and compact-aggregation knobs.
 type ExecutionSpec struct {
-	ColdEpochs   bool `json:"cold_epochs,omitempty"`
 	Replicas     int  `json:"replicas,omitempty"`
 	CompactNodes bool `json:"compact_nodes,omitempty"`
 }
@@ -84,12 +83,9 @@ type ControllerSpec struct {
 	Alpha      float64 `json:"alpha,omitempty"`
 }
 
-// ElasticitySpec groups the unpark-cost and autoscaling knobs.
+// ElasticitySpec groups the autoscaling knobs.
 type ElasticitySpec struct {
-	UnparkLatencyMS float64        `json:"unpark_latency_ms,omitempty"`
-	UnparkPowerW    float64        `json:"unpark_power_w,omitempty"`
-	UnparkFree      bool           `json:"unpark_free,omitempty"`
-	Controller      ControllerSpec `json:"controller,omitempty"`
+	Controller ControllerSpec `json:"controller,omitempty"`
 }
 
 // NodeFaultSpec is one explicit per-node fault window.

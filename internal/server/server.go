@@ -1000,8 +1000,7 @@ func (s *Sim) park(now sim.Time) {
 // unpark ends a parked window: idle selection returns to the governor
 // and the package idle model reverts to its configured setting. Cores
 // stay resident in deep idle until load arrives — the first post-unpark
-// request pays the deepest state's measured exit latency, which is the
-// simulated replacement for the cold path's synthetic unpark penalty.
+// request pays the deepest state's measured exit latency.
 func (s *Sim) unpark(now sim.Time) {
 	s.parked = false
 	s.pkgIdleOn = s.cfg.PkgIdleEnabled

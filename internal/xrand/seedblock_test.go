@@ -38,17 +38,12 @@ func TestSeedBlocksZeroValueAndStartOffset(t *testing.T) {
 
 // TestClassReplicaPlaneDisjoint is the regression proof behind the
 // class/replica seed plane's documented operating envelope: inside it,
-// no node seed, no epoch-mixed seed, and no SeedBlocks block can ever
-// collide with a (class, replica) seed, and distinct (class, replica)
-// pairs never share one.
+// no node seed and no SeedBlocks block can ever collide with a
+// (class, replica) seed, and distinct (class, replica) pairs never
+// share one.
 func TestClassReplicaPlaneDisjoint(t *testing.T) {
-	const (
-		maxNodeSeed = uint64(1) << 32 // envelope: node seeds < 2^32
-		maxEpochs   = 1 << 12         // envelope: epochs < 4096
-		maxClasses  = uint64(1) << 20 // envelope: up to ~1M classes
-	)
+	const maxNodeSeed = uint64(1) << 32 // envelope: node seeds < 2^32
 	planeLo := ClassSeedBase
-	planeHi := ClassSeedBase + maxClasses<<SeedBlockBits // exclusive
 
 	// Raw node seeds sit far below the plane.
 	if maxNodeSeed >= planeLo {
@@ -58,20 +53,6 @@ func TestClassReplicaPlaneDisjoint(t *testing.T) {
 	// even after an absurd number of Next calls (2^30 blocks of 2^20).
 	if worst := maxNodeSeed + (uint64(1)<<30)<<SeedBlockBits; worst >= planeLo {
 		t.Fatalf("SeedBlocks envelope %#x reaches the plane origin %#x", worst, planeLo)
-	}
-
-	// Epoch-mixed seeds: EpochSeed(s, e) = s ^ e*stride, and for s <
-	// 2^32 the XOR only perturbs the low 32 bits of e*stride. So an
-	// epoch-mixed seed can land in the plane only if e*stride falls
-	// within 2^32 of it; enumerate every epoch in the envelope and
-	// check the conservative 2^32-widened plane misses them all.
-	const pad = uint64(1) << 32
-	for e := 0; e < maxEpochs; e++ {
-		mixed := uint64(e) * EpochSeedStride
-		if mixed >= planeLo-pad && mixed < planeHi+pad {
-			t.Fatalf("epoch %d stride product %#x within 2^32 of the class/replica plane [%#x,%#x)",
-				e, mixed, planeLo, planeHi)
-		}
 	}
 
 	// Distinct (class, replica) pairs get distinct seeds, inside the
@@ -96,13 +77,12 @@ func TestClassReplicaPlaneDisjoint(t *testing.T) {
 }
 
 // TestFaultPlaneDisjoint is the regression proof behind the fault seed
-// plane: inside the documented envelope no node seed, no epoch-mixed
-// seed, no SeedBlocks block, and no class/replica seed can collide with
+// plane: inside the documented envelope no node seed, no SeedBlocks
+// block, and no class/replica seed can collide with
 // a fault-process seed, and restart-remixed node seeds stay out too.
 func TestFaultPlaneDisjoint(t *testing.T) {
 	const (
 		maxNodeSeed = uint64(1) << 32 // envelope: node seeds < 2^32
-		maxEpochs   = 1 << 12         // envelope: epochs < 4096
 		maxRestarts = 1 << 12         // envelope: restarts < 4096 per node
 	)
 	planeLo := FaultSeedBase
@@ -126,17 +106,11 @@ func TestFaultPlaneDisjoint(t *testing.T) {
 		t.Fatalf("fault plane end %#x overlaps the class/replica plane origin %#x", planeHi, ClassSeedBase)
 	}
 
-	// Epoch-mixed and restart-remixed seeds: both are s ^ k·stride with
-	// s < 2^32, so the XOR only perturbs the low 32 bits of the stride
-	// product. Enumerate every stride product in the envelope and check
-	// the conservative 2^32-widened plane misses them all.
+	// Restart-remixed seeds are s ^ n·stride with s < 2^32, so the XOR
+	// only perturbs the low 32 bits of the stride product. Enumerate
+	// every stride product in the envelope and check the conservative
+	// 2^32-widened plane misses them all.
 	const pad = uint64(1) << 32
-	for e := 0; e < maxEpochs; e++ {
-		mixed := uint64(e) * EpochSeedStride
-		if mixed >= planeLo-pad && mixed < planeHi+pad {
-			t.Fatalf("epoch %d stride product %#x within 2^32 of the fault plane", e, mixed)
-		}
-	}
 	for n := 0; n < maxRestarts; n++ {
 		mixed := uint64(n) * RestartSeedStride
 		if mixed >= planeLo-pad && mixed < planeHi+pad {
@@ -180,18 +154,6 @@ func TestClassReplicaSeedPanicsOutsidePlane(t *testing.T) {
 			}()
 			ClassReplicaSeed(bad[0], bad[1])
 		}()
-	}
-}
-
-// TestEpochSeedIdentityAndStride pins the mixing formula the cluster
-// layer's cold-path goldens depend on.
-func TestEpochSeedIdentityAndStride(t *testing.T) {
-	if got := EpochSeed(42, 0); got != 42 {
-		t.Fatalf("epoch 0 seed = %d, want identity", got)
-	}
-	var stride uint64 = EpochSeedStride
-	if got, want := EpochSeed(42, 3), uint64(42)^3*stride; got != want {
-		t.Fatalf("EpochSeed(42,3) = %#x, want %#x", got, want)
 	}
 }
 

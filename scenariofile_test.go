@@ -79,11 +79,6 @@ func TestScenarioFileErrorParity(t *testing.T) {
 			`{` + header + `, "faults": {"restart_latency_ms": -1, "nodes": [{"node": 0, "kind": "crash", "start_ms": 0, "end_ms": 10}]}}`,
 			"negative restart penalty",
 		},
-		{
-			"fault on the cold engine",
-			`{` + header + `, "execution": {"cold_epochs": true}, "faults": {"nodes": [{"node": 0, "kind": "crash", "start_ms": 0, "end_ms": 10}]}}`,
-			"fault injection needs the warm path",
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

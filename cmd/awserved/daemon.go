@@ -419,9 +419,10 @@ type whatIfReply struct {
 }
 
 // handleWhatIf answers a hypothetical against a fork of the live fleet:
-// the fork replays the live history bit-identically, the forced target
-// overrides its controller for the requested window, and the live fleet
-// never observes any of it.
+// the fork clones every node's warm state under the lock, in O(state)
+// whatever the history length, the forced target overrides its
+// controller for the requested window, and the live fleet never
+// observes any of it.
 func (d *daemon) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	if !wantMethod(w, r, http.MethodPost) {
 		return

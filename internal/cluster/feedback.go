@@ -26,11 +26,10 @@ type liveClass struct {
 	members []int
 	// node is the representative's configuration.
 	node server.Config
-	// ins is the representative's fault-aware timeline cursor. Nil on a
-	// class just split off its parent: the epoch executor then
-	// reconstructs the cursor by replaying the realized prefix (exact by
-	// determinism — the split class shared the parent's rates and faults
-	// until now).
+	// ins is the representative's fault-aware timeline cursor. A class
+	// split off its parent starts from a clone of the parent's cursor:
+	// the two shared every rate and fault until now, so their warm
+	// states are identical.
 	ins *runner.TimelineCursor
 	// intervals is the realized rate-and-fault timeline so far.
 	intervals []runner.Interval
@@ -46,16 +45,23 @@ type liveClass struct {
 // rates diverge, nodes with equal configurations (and the shared park
 // flag) are bit-identical simulations. Uncacheable nodes cannot prove
 // equivalence by key and stay singletons, exactly as in the open-loop
-// classifier.
-func initialLiveClasses(c resolvedScenario) []*liveClass {
+// classifier. Each class gets its representative's fresh cursor, built
+// in parallel like an epoch's fan-out.
+func initialLiveClasses(c resolvedScenario, r *runner.Runner) ([]*liveClass, error) {
 	groups := groupByKey(len(c.Nodes), func(buf []byte, i int) ([]byte, bool) {
 		return runner.AppendKey(buf, c.Nodes[i])
 	})
 	classes := make([]*liveClass, len(groups))
-	for ci, members := range groups {
-		classes[ci] = &liveClass{rep: members[0], members: members, node: c.Nodes[members[0]]}
-	}
-	return classes
+	err := r.Each(len(groups), func(ci int) error {
+		members := groups[ci]
+		cur, err := runner.NewCursor(c.Nodes[members[0]], c.ParkDrained)
+		if err != nil {
+			return fmt.Errorf("cluster: node %d: %w", members[0], err)
+		}
+		classes[ci] = &liveClass{rep: members[0], members: members, node: c.Nodes[members[0]], ins: cur}
+		return nil
+	})
+	return classes, err
 }
 
 // rateFault is splitByRate's bucket key: members stay collapsed only
@@ -69,12 +75,14 @@ type rateFault struct {
 // splitByRate partitions the classes so that every class's members
 // share this epoch's routed rate and fault annotation, setting each
 // class's rate and fault fields. A sub-class keeping the first member
-// inherits the parent's live cursor; the others start with ins nil plus
-// a copy of the realized prefix, and the epoch executor replays them
-// onto fresh cursors. Member order and the first-member-owns-the-state
-// rule keep the final class partition identical to what full-timeline
-// classification of the realized rates and faults would produce. faults
-// is this epoch's per-node annotation row; nil means healthy.
+// inherits the parent's live cursor; the others take a clone of it plus
+// a copy of the realized prefix. Cloning is O(node state), and it runs
+// here, serially, before the epoch's parallel fan-out, so no clone can
+// race its parent's step. Member order and the first-member-owns-the-
+// state rule keep the final class partition identical to what full-
+// timeline classification of the realized rates and faults would
+// produce. faults is this epoch's per-node annotation row; nil means
+// healthy.
 func splitByRate(classes []*liveClass, rates []float64, faults []runner.Fault) []*liveClass {
 	faultOf := func(m int) runner.Fault {
 		if faults == nil {
@@ -122,6 +130,7 @@ func splitByRate(classes []*liveClass, rates []float64, faults []runner.Fault) [
 				sub.intervals = cl.intervals
 				sub.results = cl.results
 			} else {
+				sub.ins = cl.ins.Clone()
 				sub.intervals = append([]runner.Interval(nil), cl.intervals...)
 				sub.results = append([]server.IntervalResult(nil), cl.results...)
 			}
@@ -132,37 +141,12 @@ func splitByRate(classes []*liveClass, rates []float64, faults []runner.Fault) [
 	return out
 }
 
-// replay rebuilds the class's cursor by replaying its realized prefix
-// onto a fresh one — exact by determinism. The replayed measurements
-// are bit-identical to the recorded ones and are dropped; only the
-// cursor state (instance, crash/restart history) matters. what names
-// the replay in errors.
-func (cl *liveClass) replay(park bool, what string) error {
-	cur, err := runner.NewCursor(cl.node, park)
-	if err != nil {
-		return fmt.Errorf("cluster: node %d %s: %w", cl.rep, what, err)
-	}
-	for i, iv := range cl.intervals {
-		if _, err := cur.Step(iv); err != nil {
-			return fmt.Errorf("cluster: node %d %s interval %d: %w", cl.rep, what, i, err)
-		}
-	}
-	cl.ins = cur
-	return nil
-}
-
 // runControlledEpoch advances every class one epoch at its routed rate
-// and fault, reconstructing freshly split classes first. Classes are
-// independent simulations, so the fan-out is parallel; a split class's
-// replay is part of its own task.
-func runControlledEpoch(classes []*liveClass, window sim.Time, c resolvedScenario, r *runner.Runner) error {
+// and fault. Classes are independent simulations, so the fan-out is
+// parallel.
+func runControlledEpoch(classes []*liveClass, window sim.Time, r *runner.Runner) error {
 	return r.Each(len(classes), func(ci int) error {
 		cl := classes[ci]
-		if cl.ins == nil {
-			if err := cl.replay(c.ParkDrained, "split replay"); err != nil {
-				return err
-			}
-		}
 		next := runner.Interval{Window: window, Rate: cl.rate, Fault: cl.fault}
 		iv, err := cl.ins.Step(next)
 		if err != nil {

@@ -56,11 +56,11 @@ func NewLive(cfg ScenarioConfig) (*Live, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newLive(p), nil
+	return newLive(p)
 }
 
 // newLive builds the steppable fleet on an already-built plan.
-func newLive(p scenarioPlan) *Live {
+func newLive(p scenarioPlan) (*Live, error) {
 	l := &Live{
 		scenarioPlan: p,
 		target:       len(p.c.Nodes), // cold start: everything active until telemetry arrives
@@ -68,8 +68,11 @@ func newLive(p scenarioPlan) *Live {
 	l.ctrl = newController(p.c.Controller, l.fleetInfo())
 	l.replay = l.ctrl == nil
 	l.adm = p.c.newAdmission()
-	l.classes = initialLiveClasses(p.c)
-	return l
+	var err error
+	if l.classes, err = initialLiveClasses(p.c, p.r); err != nil {
+		return nil, err
+	}
+	return l, nil
 }
 
 func (l *Live) fleetInfo() FleetInfo {
@@ -192,7 +195,7 @@ func (l *Live) step(forcedTarget int, force bool) (FleetTelemetry, error) {
 		saturated: acct.saturated, shedded: acct.shedded, backlogReq: acct.backlogReq,
 	}
 	l.classes = splitByRate(l.classes, rates, frow)
-	if err := runControlledEpoch(l.classes, pw.end-pw.start, l.c, l.r); err != nil {
+	if err := runControlledEpoch(l.classes, pw.end-pw.start, l.r); err != nil {
 		return FleetTelemetry{}, err
 	}
 	tel := fleetTelemetry(e, realized, l.classes, l.c.CompactNodes, len(l.c.Nodes))
@@ -263,12 +266,13 @@ func (l *Live) Result() (ScenarioResult, error) {
 
 // Fork returns an independent copy of the fleet at the current epoch
 // boundary. The copy shares nothing mutable with the parent: class
-// timelines are copied, warm cursors are rebuilt lazily by
-// deterministic prefix replay (the same mechanism a class split uses),
-// and the controller is rebuilt by replaying its observation history.
-// Stepping the fork and the parent through identical futures yields
-// bit-identical measurements — what-if queries run on forks so the
-// live fleet is never disturbed.
+// timelines are copied, every class's warm cursor is cloned in
+// O(node state) whatever the history length (the mechanism a class
+// split uses too), and the controller is rebuilt by replaying its
+// observation history. Stepping the fork and the parent through
+// identical futures yields bit-identical measurements — what-if
+// queries run on forks so the live fleet is never disturbed. A cloned
+// node does not re-fire its TraceHook for the shared prefix.
 func (l *Live) Fork() *Live {
 	n := &Live{
 		scenarioPlan: l.scenarioPlan,
@@ -290,6 +294,7 @@ func (l *Live) Fork() *Live {
 			rep:       cl.rep,
 			members:   append([]int(nil), cl.members...),
 			node:      cl.node,
+			ins:       cl.ins.Clone(),
 			intervals: append([]runner.Interval(nil), cl.intervals...),
 			results:   append([]server.IntervalResult(nil), cl.results...),
 			rate:      cl.rate,
@@ -318,17 +323,6 @@ func (l *Live) rebuildController() Controller {
 	return ctrl
 }
 
-// materialize rebuilds every class cursor that is lazily nil (fresh
-// forks, just-restored fleets) by prefix replay, in parallel.
-func (l *Live) materialize() error {
-	return l.r.Each(len(l.classes), func(ci int) error {
-		if cl := l.classes[ci]; cl.ins == nil {
-			return cl.replay(l.c.ParkDrained, "snapshot replay")
-		}
-		return nil
-	})
-}
-
 // liveSnapshotVersion versions the fleet checkpoint document. Same
 // policy as the instance format: bumped on any encoding or replay-
 // equivalence change, no cross-version migration. Version 2 added the
@@ -344,9 +338,6 @@ const liveSnapshotVersion = 2
 // captured ones, so a checkpoint can never silently restore onto a
 // diverged simulator or a different scenario file.
 func (l *Live) Snapshot() ([]byte, error) {
-	if err := l.materialize(); err != nil {
-		return nil, err
-	}
 	var e snapbuf.Encoder
 	e.U8(liveSnapshotVersion)
 
@@ -495,9 +486,6 @@ func RestoreLive(cfg ScenarioConfig, data []byte) (*Live, error) {
 	}
 
 	// Class-structure and instance-state verification.
-	if err := l.materialize(); err != nil {
-		return nil, fmt.Errorf("cluster: restore: %w", err)
-	}
 	if len(l.classes) != len(checks) {
 		return nil, fmt.Errorf("cluster: restore: replay produced %d classes, checkpoint recorded %d (simulator changed since capture?)",
 			len(l.classes), len(checks))

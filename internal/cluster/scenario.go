@@ -437,7 +437,10 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 		return ScenarioResult{}, err
 	}
 	if p.c.Controller.enabled() {
-		l := newLive(p)
+		l, err := newLive(p)
+		if err != nil {
+			return ScenarioResult{}, err
+		}
 		for !l.Done() {
 			if _, err := l.Step(); err != nil {
 				return ScenarioResult{}, err

@@ -160,6 +160,15 @@ func (m *Machine) ResidentPower(c0Power float64) float64 {
 	return c0Power
 }
 
+// Clone returns an independent copy of the machine mid-flow: same
+// phase, state and pending wake, its own residency tracker, and the
+// shared immutable catalog.
+func (m *Machine) Clone() *Machine {
+	c := *m
+	c.res = m.res.Clone()
+	return &c
+}
+
 // Residency exposes the underlying residency tracker.
 func (m *Machine) Residency() *stats.Residency { return m.res }
 

@@ -23,6 +23,9 @@ type Governor interface {
 	Observe(idle sim.Time)
 	// Name identifies the policy.
 	Name() string
+	// Clone returns an independent copy carrying the learned state; the
+	// catalog is immutable and shared.
+	Clone() Governor
 }
 
 // EWMA is the menu governor's prediction machinery, extracted so other
@@ -130,6 +133,12 @@ func (g *MenuGovernor) Observe(idle sim.Time) {
 	g.pred.Observe(float64(idle))
 }
 
+// Clone implements Governor.
+func (g *MenuGovernor) Clone() Governor {
+	c := *g
+	return &c
+}
+
 // StaticGovernor always selects the deepest state in the menu, ignoring
 // residency targets. It models "performance-tuned" BIOS setups that trust
 // a single state, and is also useful for upper-bound analyses.
@@ -153,6 +162,12 @@ func (g *StaticGovernor) Select(now sim.Time, menu []cstate.ID) cstate.ID {
 
 // Observe implements Governor.
 func (g *StaticGovernor) Observe(sim.Time) {}
+
+// Clone implements Governor.
+func (g *StaticGovernor) Clone() Governor {
+	c := *g
+	return &c
+}
 
 // LadderGovernor starts shallow and deepens one step each time an idle
 // period overruns the next state's target residency, resetting on a
@@ -193,6 +208,12 @@ func (g *LadderGovernor) Observe(idle sim.Time) {
 		g.rung--
 	}
 	g.last = idle
+}
+
+// Clone implements Governor.
+func (g *LadderGovernor) Clone() Governor {
+	c := *g
+	return &c
 }
 
 func orderShallowToDeep(c *cstate.Catalog, menu []cstate.ID) []cstate.ID {

@@ -29,6 +29,12 @@ func NewIntervalGovernor(c *cstate.Catalog) *IntervalGovernor {
 // Name implements Governor.
 func (g *IntervalGovernor) Name() string { return PolicyInterval }
 
+// Clone implements Governor.
+func (g *IntervalGovernor) Clone() Governor {
+	c := *g
+	return &c
+}
+
 // Observe implements Governor.
 func (g *IntervalGovernor) Observe(idle sim.Time) {
 	g.buf[g.pos] = float64(idle)

@@ -102,6 +102,18 @@ func (tc *TimelineCursor) Step(iv Interval) (server.IntervalResult, error) {
 	return res, nil
 }
 
+// Clone returns an independent cursor at the same timeline position:
+// the same interval numbering and crash/restart history, and a clone of
+// the warm instance (none while crashed). Stepping the clone and the
+// original through the same intervals yields identical results.
+func (tc *TimelineCursor) Clone() *TimelineCursor {
+	c := *tc
+	if tc.ins != nil {
+		c.ins = tc.ins.Clone()
+	}
+	return &c
+}
+
 // Instance returns the live warm instance, nil while crashed. The
 // cluster snapshot layer serializes it for fleet checkpoint
 // verification; callers must not run intervals on it directly.

@@ -45,6 +45,9 @@ type Dispatcher interface {
 	// core's Load() (queued + executing requests); implementations must
 	// not mutate the cores.
 	Pick(now sim.Time, cores []*coreRuntime) int
+	// clone returns an independent copy carrying the policy's state
+	// (see Instance.Clone).
+	clone() Dispatcher
 }
 
 // newDispatcher constructs the named policy. The random stream is derived
@@ -81,7 +84,17 @@ func (c *coreRuntime) Load() int {
 	return n
 }
 
-type roundRobinDispatch struct{ next int }
+// roundRobinDispatch's cursor is written on every dispatch. The pad
+// fills out a cache line: unpadded, the 8-byte struct comes from the
+// tiny allocator, so the dispatchers of instances built one after
+// another (a fleet's initial cursors, a fork's clones) share a line,
+// and stepping those instances on different goroutines false-shares
+// it (measured at about 9% of a 128-node controlled run's wall time on
+// a 2-vCPU VM).
+type roundRobinDispatch struct {
+	next int
+	_    [56]byte
+}
 
 func (*roundRobinDispatch) Name() string { return DispatchRoundRobin }
 
@@ -89,6 +102,11 @@ func (d *roundRobinDispatch) Pick(_ sim.Time, cores []*coreRuntime) int {
 	i := d.next
 	d.next = (d.next + 1) % len(cores)
 	return i
+}
+
+func (d *roundRobinDispatch) clone() Dispatcher {
+	c := *d
+	return &c
 }
 
 type randomDispatch struct{ rng *xrand.Rand }
@@ -99,9 +117,13 @@ func (d *randomDispatch) Pick(_ sim.Time, cores []*coreRuntime) int {
 	return d.rng.Intn(len(cores))
 }
 
+func (d *randomDispatch) clone() Dispatcher { return &randomDispatch{rng: d.rng.Clone()} }
+
 type leastLoadedDispatch struct{}
 
 func (leastLoadedDispatch) Name() string { return DispatchLeastLoaded }
+
+func (d leastLoadedDispatch) clone() Dispatcher { return d }
 
 func (leastLoadedDispatch) Pick(_ sim.Time, cores []*coreRuntime) int {
 	best, bestLoad := 0, cores[0].Load()
@@ -116,6 +138,8 @@ func (leastLoadedDispatch) Pick(_ sim.Time, cores []*coreRuntime) int {
 type packedDispatch struct{ cap int }
 
 func (packedDispatch) Name() string { return DispatchPacked }
+
+func (d packedDispatch) clone() Dispatcher { return d }
 
 func (d packedDispatch) Pick(_ sim.Time, cores []*coreRuntime) int {
 	// First core with headroom wins; if every core is saturated, fall

@@ -49,9 +49,9 @@ type Instance struct {
 	orig Config
 	// hist is the realized interval log: every RunInterval call with the
 	// fault state that was live for it. Snapshot persists it; Restore
-	// replays it — the event queue holds closures, so the only faithful
-	// serialization of mid-run state is the deterministic replay of how
-	// it was reached.
+	// replays it (see snapshot.go for why a checkpoint replays rather
+	// than serializing live state); Clone copies it, so a clone's
+	// Snapshot matches its original's.
 	hist []intervalRecord
 }
 

@@ -44,6 +44,9 @@ type LoadGen interface {
 	// conn finishes; open-loop generators ignore it, closed-loop ones
 	// schedule the connection's next request.
 	OnComplete(s *Sim, conn int, now sim.Time)
+	// clone returns an independent copy carrying the generator's state
+	// (see Instance.Clone).
+	clone() LoadGen
 }
 
 // newLoadGen constructs the named generator. inst marks instance mode,
@@ -101,6 +104,8 @@ func (openLoopGen) Start(s *Sim) {
 }
 
 func (openLoopGen) OnComplete(*Sim, int, sim.Time) {}
+
+func (g openLoopGen) clone() LoadGen { return g }
 
 // openLoopArrival dispatches one request (unless this is a zero-rate
 // phase probe) and schedules the next.
@@ -191,6 +196,8 @@ func (closedLoopGen) Start(s *Sim) {
 	}
 }
 
+func (g closedLoopGen) clone() LoadGen { return g }
+
 func (closedLoopGen) OnComplete(s *Sim, conn int, now sim.Time) {
 	think := sim.Time(s.arrRand.Exp(float64(s.cfg.ThinkTime)))
 	if think < 1 {
@@ -237,6 +244,11 @@ func (g *burstyGen) Start(s *Sim) {
 }
 
 func (*burstyGen) OnComplete(*Sim, int, sim.Time) {}
+
+func (g *burstyGen) clone() LoadGen {
+	c := *g
+	return &c
+}
 
 // burst runs one ON window starting now and schedules the next burst
 // after an OFF gap. Under a schedule the window's burst rate scales with

@@ -574,9 +574,7 @@ func newSim(cfg Config, inst bool) (*Sim, error) {
 	}
 	// Stateful arrival processes (e.g. the MMPP2 Kafka stream) are copied
 	// per run so concurrent or repeated runs never share mutable state.
-	if ca, ok := cfg.Profile.Arrivals.(workload.CloneableArrival); ok {
-		cfg.Profile.Arrivals = ca.CloneArrival()
-	}
+	cfg.Profile.Arrivals = cloneArrival(cfg.Profile.Arrivals)
 	s := &Sim{
 		cfg:     cfg,
 		eng:     sim.NewEngine(),

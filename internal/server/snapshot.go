@@ -20,18 +20,20 @@ import (
 //	verification engine clock, fired-event count, snoops served, and
 //	             the three named RNG stream states at capture time
 //
-// The engine's event queue holds closures (arrival generators, snoop
-// timers, package-idle callbacks), so mid-run state cannot be
-// serialized directly. Instead the snapshot captures the two things the
-// state is a pure function of — the construction config and the
-// realized interval history — and Restore replays them through the
-// normal NewInstance/RunInterval path. Replay is bit-exact by the same
+// A snapshot crosses processes and builds, so it does not serialize
+// live state (the event queue, C-state machines, rings, histograms):
+// a dump of those would restore onto a changed simulator without
+// complaint. Instead the snapshot captures the two things the state is
+// a pure function of — the construction config and the realized
+// interval history — and Restore replays them through the normal
+// NewInstance/RunInterval path. Replay is bit-exact by the same
 // determinism guarantee the cluster layer's class collapse is built on,
 // and the verification block turns that guarantee into a checked
 // invariant: a restored instance whose clock, event count or RNG
 // positions differ from the captured ones (a simulator change since
 // capture, or a corrupted payload that still decoded) fails loudly
-// instead of silently diverging.
+// instead of silently diverging. Within one process, Instance.Clone
+// copies live state directly, in O(state) instead of O(history).
 //
 // Versioning policy: the version byte is bumped on ANY change to the
 // encoding or to simulation behavior that breaks replay equivalence;

@@ -378,6 +378,46 @@ func (e *Engine) recycle(ev *Event) {
 	e.free = append(e.free, ev)
 }
 
+// CloneInto copies e's clock, sequence counter, fired count and pending
+// queue into dst, a fresh engine whose model registered the same typed
+// handlers in the same order, so every Kind means the same thing on
+// both. Each *held names a pending event of e (or nil) and is rewritten
+// to dst's copy of it: the model's stored handles, such as a timer it
+// may cancel, must follow it into the clone. Closure events cannot be
+// copied, since their handlers capture the original model, so a queue
+// holding one is refused. CloneInto must not run mid-batch, that is
+// from inside a handler.
+func (e *Engine) CloneInto(dst *Engine, held ...**Event) error {
+	if len(dst.table) != len(e.table) {
+		return fmt.Errorf("sim: clone target has %d event kinds, source has %d", len(dst.table)-1, len(e.table)-1)
+	}
+	if len(dst.queue) != 0 {
+		return fmt.Errorf("sim: clone target already holds %d events", len(dst.queue))
+	}
+	evs := make([]Event, len(e.queue))
+	q := make(eventQueue, len(e.queue))
+	for i, ev := range e.queue {
+		if ev.kind == 0 {
+			return fmt.Errorf("sim: cannot clone a closure event (at %v)", ev.when)
+		}
+		evs[i] = *ev
+		q[i] = &evs[i]
+	}
+	for _, h := range held {
+		if *h == nil {
+			continue
+		}
+		i := (*h).index
+		if i < 0 || int(i) >= len(e.queue) || e.queue[i] != *h {
+			return fmt.Errorf("sim: held event at %v is not pending", (*h).when)
+		}
+		*h = q[i]
+	}
+	dst.now, dst.seq, dst.fired, dst.stopped = e.now, e.seq, e.fired, e.stopped
+	dst.queue = q
+	return nil
+}
+
 // Stop makes the current Run return after the in-flight handler finishes.
 func (e *Engine) Stop() { e.stopped = true }
 

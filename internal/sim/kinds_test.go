@@ -196,3 +196,92 @@ func TestScheduleCancelZeroAllocs(t *testing.T) {
 		t.Fatalf("schedule+cancel allocates %v allocs/op, want 0", avg)
 	}
 }
+
+// --- Cloning ----------------------------------------------------------------
+
+// cloneModel is a tiny self-rescheduling model for the CloneInto tests:
+// each fire logs (engine name, time, payload) and reschedules itself;
+// timer is the held handle it may cancel.
+type cloneModel struct {
+	name  string
+	eng   *Engine
+	k     Kind
+	timer *Event
+	log   *[]string
+}
+
+func newCloneModel(name string, log *[]string) *cloneModel {
+	m := &cloneModel{name: name, eng: NewEngine(), log: log}
+	m.k = m.eng.RegisterKind(func(now Time, a0, a1 uint64) {
+		*m.log = append(*m.log, m.name+":"+now.String())
+		if a0 > 0 {
+			m.eng.ScheduleKind(Time(a0), m.k, a0, a1)
+		}
+	})
+	return m
+}
+
+func TestCloneIntoContinuesIdentically(t *testing.T) {
+	var origLog, cloneLog []string
+	orig := newCloneModel("x", &origLog)
+	orig.eng.ScheduleKind(3, orig.k, 3, 0)
+	orig.eng.ScheduleKind(5, orig.k, 5, 0)
+	orig.timer = orig.eng.ScheduleKind(100, orig.k, 0, 0)
+	orig.eng.RunTo(20)
+
+	clone := newCloneModel("x", &cloneLog)
+	clone.timer = orig.timer
+	if err := orig.eng.CloneInto(clone.eng, &clone.timer); err != nil {
+		t.Fatal(err)
+	}
+	if clone.timer == orig.timer || clone.timer.When() != 100 {
+		t.Fatalf("held handle not remapped: %p (orig %p) at %v", clone.timer, orig.timer, clone.timer.When())
+	}
+	if clone.eng.Now() != 20 || clone.eng.Fired() != orig.eng.Fired() || clone.eng.Pending() != orig.eng.Pending() {
+		t.Fatalf("clone at %v fired %d pending %d, original at %v fired %d pending %d",
+			clone.eng.Now(), clone.eng.Fired(), clone.eng.Pending(), orig.eng.Now(), orig.eng.Fired(), orig.eng.Pending())
+	}
+	// The clone cancels its copy of the timer: the original's must
+	// still fire.
+	clone.eng.Cancel(clone.timer)
+	origLog = origLog[:0]
+	clone.eng.RunTo(120)
+	orig.eng.RunTo(120)
+	count := func(log []string, entry string) int {
+		n := 0
+		for _, e := range log {
+			if e == entry {
+				n++
+			}
+		}
+		return n
+	}
+	at100 := "x:" + Time(100).String()
+	if len(origLog) != len(cloneLog)+1 || count(origLog, at100) != count(cloneLog, at100)+1 {
+		t.Fatalf("original %v, clone %v: want the clone's stream plus the original's timer", origLog, cloneLog)
+	}
+}
+
+func TestCloneIntoRefusals(t *testing.T) {
+	var log []string
+	src := newCloneModel("x", &log)
+	src.eng.ScheduleKind(1, src.k, 0, 0)
+	if err := src.eng.CloneInto(NewEngine()); err == nil {
+		t.Error("cloned into an engine with a different kind table")
+	}
+	dst := newCloneModel("y", &log)
+	dst.eng.ScheduleKind(1, dst.k, 0, 0)
+	if err := src.eng.CloneInto(dst.eng); err == nil {
+		t.Error("cloned into an engine that already holds events")
+	}
+	fired := src.eng.ScheduleKind(0, src.k, 0, 0)
+	src.eng.RunTo(0)
+	stale := fired
+	if err := src.eng.CloneInto(newCloneModel("z", &log).eng, &stale); err == nil {
+		t.Error("accepted a held handle that already fired")
+	}
+	src.eng.Schedule(2, func(Time) {})
+	if err := src.eng.CloneInto(newCloneModel("z", &log).eng); err == nil {
+		t.Error("cloned a queue holding a closure event")
+	}
+}

@@ -162,6 +162,13 @@ func (h *Histogram) Reset() {
 	h.min = math.Inf(1)
 }
 
+// Clone returns an independent copy of the histogram and its samples.
+func (h *Histogram) Clone() *Histogram {
+	c := *h
+	c.counts = append([]uint64(nil), h.counts...)
+	return &c
+}
+
 // Merge folds every sample recorded in o into h, bucket for bucket.
 // Both histograms must share a bucket geometry (they do whenever both
 // came from NewHistogram). Merging an empty or nil histogram is a no-op.
@@ -418,6 +425,15 @@ func (r *Residency) Fractions() []float64 {
 
 // Labels returns the state labels.
 func (r *Residency) Labels() []string { return append([]string(nil), r.labels...) }
+
+// Clone returns an independent copy of the tracker in its current state.
+func (r *Residency) Clone() *Residency {
+	c := *r
+	c.labels = append([]string(nil), r.labels...)
+	c.timeIn = append([]int64(nil), r.timeIn...)
+	c.transitions = append([]uint64(nil), r.transitions...)
+	return &c
+}
 
 // EnergyMeter integrates power over time. Power is piecewise-constant
 // between SetPower calls, which matches the per-C-state power model.

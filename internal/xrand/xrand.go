@@ -69,6 +69,13 @@ func NewStream(seed uint64, name string) *Rand {
 // values only and never affects the generated sequence.
 func (r *Rand) State() [4]uint64 { return r.s }
 
+// Clone returns an independent generator at the same stream position:
+// both continue the identical sequence from here.
+func (r *Rand) Clone() *Rand {
+	c := *r
+	return &c
+}
+
 // SetState installs a previously captured stream state. The all-zero
 // state is the one fixed point xoshiro256** can never leave and is
 // rejected; New and NewStream never produce it.

@@ -19,7 +19,6 @@ type LiveScenario = cluster.Live
 // NewLiveScenario builds the steppable fleet for the run description.
 // The description is mapped and validated exactly as RunScenario maps
 // it, so any description RunScenario accepts steps identically here.
-// Cold-epoch runs are rejected: stepping needs the warm path.
 func NewLiveScenario(r ScenarioRun) (*LiveScenario, error) {
 	cfg, err := scenarioConfig(r)
 	if err != nil {

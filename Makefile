@@ -53,7 +53,7 @@ bench-json:
 		./internal/sim ./internal/stats ./internal/server ./internal/cluster ./internal/runner \
 		| tee $(PROF_DIR)/bench-micro.txt
 	$(GO) run ./cmd/benchgate -new $(PROF_DIR)/bench-micro.txt \
-		-emit BENCH_$$(date -u +%F).json
+		-emit BENCH_$$(date -u +%F).json -commit "$$(git rev-parse HEAD 2>/dev/null)"
 
 clean-prof:
 	rm -rf $(PROF_DIR)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -284,6 +285,25 @@ func replyError(w http.ResponseWriter, code int, err error) {
 	replyJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// Request body limits: a what-if is a small JSON document, a restore a
+// fleet checkpoint.
+const (
+	maxWhatIfBody     = 1 << 20
+	maxCheckpointBody = 64 << 20
+)
+
+// bodyStatus is the reply status for an error reading a request body
+// through http.MaxBytesReader: 413 when the body is over the limit,
+// otherwise fallback. Reading past the limit fails outright, so an
+// oversized body is never cut short and then parsed.
+func bodyStatus(err error, fallback int) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return fallback
+}
+
 func wantMethod(w http.ResponseWriter, r *http.Request, method string) bool {
 	if r.Method != method {
 		replyError(w, http.StatusMethodNotAllowed, fmt.Errorf("%s needs %s", r.URL.Path, method))
@@ -428,8 +448,8 @@ func (d *daemon) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req whatIfRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		replyError(w, http.StatusBadRequest, fmt.Errorf("bad what-if request: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxWhatIfBody)).Decode(&req); err != nil {
+		replyError(w, bodyStatus(err, http.StatusBadRequest), fmt.Errorf("bad what-if request: %w", err))
 		return
 	}
 	if req.Epochs < 1 {
@@ -581,9 +601,9 @@ func (d *daemon) handleRestore(w http.ResponseWriter, r *http.Request) {
 	if !wantMethod(w, r, http.MethodPost) {
 		return
 	}
-	blob, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
+	blob, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxCheckpointBody))
 	if err != nil {
-		replyError(w, http.StatusBadRequest, err)
+		replyError(w, bodyStatus(err, http.StatusBadRequest), err)
 		return
 	}
 	live, err := agilewatts.RestoreLiveScenario(d.run, blob)

@@ -512,3 +512,79 @@ func TestDaemonWhatIfBounds(t *testing.T) {
 		t.Errorf("expired deadline: status %s, want 503", resp.Status)
 	}
 }
+
+// zeros is an endless stream of zero bytes: an upload of any size
+// without holding it in memory.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
+}
+
+// TestDaemonOversizedBodies pins the body limits: a checkpoint upload
+// one byte over 64 MiB and a what-if one byte over 1 MiB get 413, not a
+// truncated read reported as a corrupt checkpoint or bad JSON, and the
+// live fleet is left as it was.
+func TestDaemonOversizedBodies(t *testing.T) {
+	d, query, admin := testDaemon(t, 0)
+	var tels []agilewatts.FleetTelemetry
+	postJSON(t, admin.URL+"/v1/step?epochs=2", nil, &tels)
+	snapshot := func() []byte {
+		t.Helper()
+		resp, err := http.Get(admin.URL + "/v1/snapshot")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		blob, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("snapshot: %s %v", resp.Status, err)
+		}
+		return blob
+	}
+	blob := snapshot()
+	d.mu.Lock()
+	live := d.live
+	d.mu.Unlock()
+
+	// A valid checkpoint padded to 64 MiB + 1: cut at the limit, it used
+	// to be rejected as corrupt.
+	body := io.MultiReader(bytes.NewReader(blob), io.LimitReader(zeros{}, maxCheckpointBody+1-int64(len(blob))))
+	resp, err := http.Post(admin.URL+"/v1/restore", "application/octet-stream", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized restore: %s, want 413", resp.Status)
+	}
+
+	whatIf := func(pad int) int {
+		t.Helper()
+		req := strings.Repeat(" ", pad) + `{"target_nodes":1,"epochs":1}`
+		resp, err := http.Post(query.URL+"/v1/whatif", "application/json", strings.NewReader(req))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := whatIf(maxWhatIfBody - 100); code != http.StatusOK {
+		t.Errorf("what-if just under the limit: %d, want 200", code)
+	}
+	if code := whatIf(maxWhatIfBody + 1); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized what-if: %d, want 413", code)
+	}
+
+	d.mu.Lock()
+	same := d.live == live
+	d.mu.Unlock()
+	var st statusReply
+	getJSON(t, query.URL+"/v1/status", &st)
+	if !same || st.Epoch != 2 || !bytes.Equal(snapshot(), blob) {
+		t.Fatalf("oversized uploads touched the live fleet: replaced=%v epoch=%d", !same, st.Epoch)
+	}
+}

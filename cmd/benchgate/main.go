@@ -8,7 +8,7 @@
 // Usage:
 //
 //	benchgate -new new.txt [-base old.txt] [-threshold 20] [-filter REGEX]
-//	          [-emit BENCH_2026-01-02.json]
+//	          [-emit BENCH_2026-01-02.json] [-commit SHA]
 //
 // Each file may contain multiple runs of the same benchmark (-count=N);
 // the median ns/op per benchmark is compared, which tolerates scheduler
@@ -18,8 +18,14 @@
 //
 // -emit writes a machine-readable JSON snapshot of the -new medians
 // (ns/op, allocs/op when the run used -benchmem, sample counts, and —
-// when -base is given — the baseline median and speedup factor). The CI
-// bench job emits one per run as the repo's recorded perf trajectory.
+// when -base is given — the baseline median and speedup factor). The
+// snapshot is stamped with the environment the -new run recorded
+// (GOOS/GOARCH and CPU model from the bench headers, GOMAXPROCS from the
+// benchmark name suffix), the Go version benchgate was built with, and
+// the -commit it measured. When -base ran in a different environment
+// the snapshot leaves out base_ns_op and speedup, which would compare
+// two machines, and a warning says so. The CI bench job emits one per
+// run as the repo's recorded perf trajectory.
 package main
 
 import (
@@ -27,15 +33,44 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 )
 
 // benchLine matches "BenchmarkName-8  1234  567.8 ns/op [ 99 B/op  3 allocs/op ]".
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+(?:e[+-]?\d+)?) ns/op(?:\s+([0-9.]+) B/op\s+(\d+) allocs/op)?`)
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+\d+\s+([0-9.]+(?:e[+-]?\d+)?) ns/op(?:\s+([0-9.]+) B/op\s+(\d+) allocs/op)?`)
+
+// benchEnv is the environment a bench output file records: the goos,
+// goarch and cpu header lines, and GOMAXPROCS from the "-N" suffix go
+// test adds to benchmark names (no suffix means 1). Procs is 0 when the
+// file has no benchmark lines or its lines disagree (a -cpu list).
+type benchEnv struct {
+	GOOS   string `json:"goos,omitempty"`
+	GOARCH string `json:"goarch,omitempty"`
+	CPU    string `json:"cpu,omitempty"`
+	Procs  int    `json:"gomaxprocs,omitempty"`
+}
+
+// differences names the fields in which e and o differ.
+func (e benchEnv) differences(o benchEnv) []string {
+	var out []string
+	if e.GOOS != o.GOOS || e.GOARCH != o.GOARCH {
+		out = append(out, fmt.Sprintf("GOOS/GOARCH %s/%s vs %s/%s", e.GOOS, e.GOARCH, o.GOOS, o.GOARCH))
+	}
+	if e.CPU != o.CPU {
+		out = append(out, fmt.Sprintf("cpu %q vs %q", e.CPU, o.CPU))
+	}
+	if e.Procs != o.Procs {
+		out = append(out, fmt.Sprintf("GOMAXPROCS %d vs %d", e.Procs, o.Procs))
+	}
+	return out
+}
 
 // sample is one benchmark line's measurements.
 type sample struct {
@@ -45,34 +80,57 @@ type sample struct {
 	hasMem bool
 }
 
-// parse returns benchmark name -> samples.
-func parse(path string) (map[string][]sample, error) {
+// parse returns benchmark name -> samples, and the environment the
+// file records.
+func parse(path string) (map[string][]sample, benchEnv, error) {
+	var env benchEnv
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, env, err
 	}
 	defer f.Close()
 	out := make(map[string][]sample)
+	procs := map[int]bool{}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(sc.Text())
+		line := sc.Text()
+		if v, ok := strings.CutPrefix(line, "goos: "); ok {
+			env.GOOS = v
+		}
+		if v, ok := strings.CutPrefix(line, "goarch: "); ok {
+			env.GOARCH = v
+		}
+		if v, ok := strings.CutPrefix(line, "cpu: "); ok {
+			env.CPU = strings.TrimSpace(v)
+		}
+		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
 			continue
 		}
-		v, err := strconv.ParseFloat(m[2], 64)
+		v, err := strconv.ParseFloat(m[3], 64)
 		if err != nil {
 			continue
 		}
 		s := sample{nsOp: v}
-		if m[3] != "" {
-			s.bOp, _ = strconv.ParseFloat(m[3], 64)
-			s.allocs, _ = strconv.ParseFloat(m[4], 64)
+		if m[4] != "" {
+			s.bOp, _ = strconv.ParseFloat(m[4], 64)
+			s.allocs, _ = strconv.ParseFloat(m[5], 64)
 			s.hasMem = true
 		}
 		out[m[1]] = append(out[m[1]], s)
+		p := 1
+		if m[2] != "" {
+			p, _ = strconv.Atoi(m[2])
+		}
+		procs[p] = true
 	}
-	return out, sc.Err()
+	if len(procs) == 1 {
+		for p := range procs {
+			env.Procs = p
+		}
+	}
+	return out, env, sc.Err()
 }
 
 func medianOf(v []float64) float64 {
@@ -103,13 +161,23 @@ type emitEntry struct {
 	Speedup  *float64 `json:"speedup,omitempty"`
 }
 
-// emit writes the JSON perf snapshot.
-func emit(path string, newRuns, baseRuns map[string][]sample) error {
+// stamp identifies what an emitted snapshot measured: the -new run's
+// environment, the Go version benchgate was built with, and the commit.
+type stamp struct {
+	benchEnv
+	GoVersion string `json:"go_version"`
+	Commit    string `json:"commit,omitempty"`
+}
+
+// emit writes the JSON perf snapshot. baseRuns must come from the same
+// environment as newRuns, or be nil.
+func emit(path string, st stamp, newRuns, baseRuns map[string][]sample) error {
 	type doc struct {
-		Date       string               `json:"date"`
+		Date string `json:"date"`
+		stamp
 		Benchmarks map[string]emitEntry `json:"benchmarks"`
 	}
-	d := doc{Date: time.Now().UTC().Format("2006-01-02"), Benchmarks: map[string]emitEntry{}}
+	d := doc{Date: time.Now().UTC().Format("2006-01-02"), stamp: st, Benchmarks: map[string]emitEntry{}}
 	for name, ss := range newRuns {
 		e := emitEntry{NsOp: median(ss), Samples: len(ss)}
 		var allocs, bytes []float64
@@ -142,12 +210,26 @@ func emit(path string, newRuns, baseRuns map[string][]sample) error {
 	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }
 
+// sameEnvBase returns baseRuns when the base and new runs share an
+// environment. Otherwise it warns on w and returns nil: a speedup
+// across two machines measures the machines, not the code.
+func sameEnvBase(w io.Writer, baseRuns map[string][]sample, baseEnv, newEnv benchEnv) map[string][]sample {
+	diff := baseEnv.differences(newEnv)
+	if diff == nil {
+		return baseRuns
+	}
+	fmt.Fprintf(w, "benchgate: warning: -base and -new ran in different environments (%s); the snapshot omits base_ns_op and speedup\n",
+		strings.Join(diff, "; "))
+	return nil
+}
+
 func main() {
 	base := flag.String("base", "", "baseline bench output file (optional with -emit)")
 	next := flag.String("new", "", "new bench output file")
 	threshold := flag.Float64("threshold", 20, "max allowed regression (percent)")
 	filter := flag.String("filter", "", "only gate benchmarks matching this regex")
 	emitPath := flag.String("emit", "", "write a JSON perf snapshot of -new (BENCH_<date>.json)")
+	commit := flag.String("commit", "", "commit the -new run measured, recorded in the -emit snapshot")
 	flag.Parse()
 	if *next == "" || (*base == "" && *emitPath == "") {
 		fmt.Fprintln(os.Stderr, "benchgate: -new and at least one of -base/-emit are required")
@@ -161,20 +243,24 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	newRuns, err := parse(*next)
+	newRuns, newEnv, err := parse(*next)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		os.Exit(2)
 	}
 	baseRuns := map[string][]sample{}
+	emitBase := baseRuns
 	if *base != "" {
-		if baseRuns, err = parse(*base); err != nil {
+		var baseEnv benchEnv
+		if baseRuns, baseEnv, err = parse(*base); err != nil {
 			fmt.Fprintln(os.Stderr, "benchgate:", err)
 			os.Exit(2)
 		}
+		emitBase = sameEnvBase(os.Stderr, baseRuns, baseEnv, newEnv)
 	}
 	if *emitPath != "" {
-		if err := emit(*emitPath, newRuns, baseRuns); err != nil {
+		st := stamp{benchEnv: newEnv, GoVersion: runtime.Version(), Commit: *commit}
+		if err := emit(*emitPath, st, newRuns, emitBase); err != nil {
 			fmt.Fprintln(os.Stderr, "benchgate: emit:", err)
 			os.Exit(2)
 		}

@@ -62,26 +62,29 @@ type timelineClass struct {
 // healthy runs) are part of each interval and therefore of the class
 // key, so a faulted node can never collapse with a healthy one.
 func classifyTimelines(c resolvedScenario, plan []epochWindow, faults [][]runner.Fault) []timelineClass {
-	// One scratch interval list serves every node's key; a class copies
-	// out its representative's list only once it exists.
+	// One scratch interval list and one key encoder serve every node's
+	// key; a class copies out its representative's list only once it
+	// exists.
 	scratch := make([]runner.Interval, len(plan))
-	specOf := func(i int) runner.TimelineSpec {
-		for e, pw := range plan {
+	intervalsOf := func(i int) []runner.Interval {
+		for e := range plan {
+			pw := &plan[e]
 			scratch[e] = runner.Interval{Window: pw.end - pw.start, Rate: pw.rates[i]}
 			if faults != nil {
 				scratch[e].Fault = faults[e][i]
 			}
 		}
-		return runner.TimelineSpec{Node: c.Nodes[i], Park: c.ParkDrained, Intervals: scratch}
+		return scratch
 	}
+	var keys runner.KeyEncoder
 	groups := groupByKey(len(c.Nodes), func(buf []byte, i int) ([]byte, bool) {
-		return runner.AppendTimelineKey(buf, specOf(i))
+		return keys.AppendTimelineKey(buf, &c.Nodes[i], c.ParkDrained, intervalsOf(i))
 	})
 	classes := make([]timelineClass, len(groups))
 	for ci, members := range groups {
-		spec := specOf(members[0])
-		spec.Intervals = slices.Clone(spec.Intervals)
-		classes[ci] = timelineClass{rep: members[0], members: members, spec: spec}
+		rep := members[0]
+		spec := runner.TimelineSpec{Node: c.Nodes[rep], Park: c.ParkDrained, Intervals: slices.Clone(intervalsOf(rep))}
+		classes[ci] = timelineClass{rep: rep, members: members, spec: spec}
 	}
 	return classes
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/server"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // sharedFleet returns n bit-identical node configs (same seed), the
@@ -339,9 +340,11 @@ func TestCompactLargeSharedFleet(t *testing.T) {
 // FuzzTimelineClassKey fuzzes the equivalence-class fingerprint: two
 // nodes with identical config and timeline must always land in the same
 // class, and a single differing behavioral field — cores, platform,
-// seed, park flag, one interval's rate, the timeline shape — must split
-// them. A custom catalog makes the key refuse entirely (uncacheable
-// nodes never group).
+// seed, park flag, one interval's rate, the timeline shape, the
+// profile — must split them. A custom catalog makes the key refuse
+// entirely (uncacheable nodes never group). The classifiers' reusing
+// KeyEncoder, handed the specs in turn, must key each exactly as the
+// one-shot TimelineKey does.
 func FuzzTimelineClassKey(f *testing.F) {
 	f.Add(uint64(42), uint8(0), true, 100e3)
 	f.Add(uint64(0), uint8(1), false, 0.0)
@@ -349,6 +352,9 @@ func FuzzTimelineClassKey(f *testing.F) {
 	f.Add(uint64(1<<40), uint8(3), false, 1.5)
 	f.Add(uint64(9), uint8(4), true, 1e9)
 	f.Add(uint64(10), uint8(5), false, 250e3)
+	f.Add(uint64(11), uint8(6), true, 300e3)
+	f.Add(uint64(12), uint8(6), false, 300e3)
+	f.Add(uint64(13), uint8(6), true, 0.25)
 	f.Fuzz(func(t *testing.T, seed uint64, mutation uint8, park bool, rate float64) {
 		if math.IsNaN(rate) || math.IsInf(rate, 0) || rate < 0 || rate > 1e12 {
 			rate = 100e3
@@ -372,9 +378,17 @@ func FuzzTimelineClassKey(f *testing.F) {
 		if key2, ok2 := runner.TimelineKey(mk()); !ok2 || key2 != key {
 			t.Fatal("identical specs did not land in the same class")
 		}
+		var keys runner.KeyEncoder
+		encKey := func(s runner.TimelineSpec) (string, bool) {
+			b, ok := keys.AppendTimelineKey(nil, &s.Node, s.Park, s.Intervals)
+			return string(b), ok
+		}
+		if ekey, eok := encKey(mk()); !eok || ekey != key {
+			t.Fatal("the reusing encoder keyed a spec unlike TimelineKey")
+		}
 		mut := mk()
 		mut.Intervals = append([]runner.Interval(nil), mut.Intervals...)
-		switch mutation % 6 {
+		switch mutation % 7 {
 		case 0:
 			mut.Node.Cores = mut.Node.Defaults().Cores + 1
 		case 1:
@@ -391,14 +405,40 @@ func FuzzTimelineClassKey(f *testing.F) {
 			mut.Intervals[0].Rate = rate + 1
 		case 5:
 			mut.Intervals = mut.Intervals[:1]
+		case 6:
+			// The profile differs: another built-in, or one field of the
+			// same one.
+			p := &mut.Node.Profile
+			switch seed % 3 {
+			case 0:
+				*p = workload.Kafka()
+			case 1:
+				if p.NetworkCV != rate {
+					p.NetworkCV = rate
+				} else {
+					p.NetworkCV++
+				}
+			case 2:
+				p.Service = workload.LogNormalService{MeanTime: p.Service.Mean(), CV: rate}
+			}
 		}
-		if mkey, mok := runner.TimelineKey(mut); !mok || mkey == key {
-			t.Fatalf("mutation %d did not split the class (ok=%v)", mutation%6, mok)
+		mkey, mok := runner.TimelineKey(mut)
+		if !mok || mkey == key {
+			t.Fatalf("mutation %d did not split the class (ok=%v)", mutation%7, mok)
+		}
+		if ekey, eok := encKey(mut); !eok || ekey != mkey {
+			t.Fatalf("mutation %d: the reusing encoder keyed the mutant unlike TimelineKey", mutation%7)
+		}
+		if ekey, eok := encKey(mk()); !eok || ekey != key {
+			t.Fatalf("mutation %d: the reusing encoder keyed the base spec unlike TimelineKey after the mutant", mutation%7)
 		}
 		cat := mk()
 		cat.Node.Catalog = cstate.EPYC()
 		if _, ok := runner.TimelineKey(cat); ok {
 			t.Fatal("custom-catalog node claimed a class key")
+		}
+		if _, ok := encKey(cat); ok {
+			t.Fatal("custom-catalog node claimed a class key from the reusing encoder")
 		}
 	})
 }

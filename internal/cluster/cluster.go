@@ -86,8 +86,8 @@ func (c Config) Validate() error {
 	if _, err := partitioner(c.Dispatch); err != nil {
 		return err
 	}
-	for i, n := range c.Nodes {
-		if n.LoadGen == server.LoadClosedLoop || n.ClosedLoopConnections > 0 {
+	for i := range c.Nodes {
+		if n := &c.Nodes[i]; n.LoadGen == server.LoadClosedLoop || n.ClosedLoopConnections > 0 {
 			return fmt.Errorf("cluster: node %d uses closed-loop load; the cluster dispatcher partitions open-loop rates", i)
 		}
 	}

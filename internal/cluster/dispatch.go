@@ -39,14 +39,19 @@ func Policies() []string {
 // capacityQPS estimates the rate node cfg sustains at 100% utilization:
 // cores times the per-core service rate of its own profile. Heterogeneous
 // fleets get per-node capacities from their per-node core counts and
-// service-time distributions.
-func capacityQPS(cfg server.Config) float64 {
-	d := cfg.Defaults()
-	mean := float64(d.Profile.Service.Mean())
+// service-time distributions. It reads the two fields it needs in
+// place: fleets pass every node through it, and Defaults would copy
+// each config and build a C-state catalog per call.
+func capacityQPS(cfg *server.Config) float64 {
+	cores := cfg.Cores
+	if cores == 0 {
+		cores = server.DefaultCores
+	}
+	mean := float64(cfg.Profile.Service.Mean())
 	if mean <= 0 {
 		return 0
 	}
-	return float64(d.Cores) * 1e9 / mean
+	return float64(cores) * 1e9 / mean
 }
 
 // partitioner returns the rate-partition function for the named policy.
@@ -76,8 +81,8 @@ func partitionLeastLoaded(c Config) []float64 {
 	rates := make([]float64, len(c.Nodes))
 	var total float64
 	caps := make([]float64, len(c.Nodes))
-	for i, n := range c.Nodes {
-		caps[i] = capacityQPS(n)
+	for i := range c.Nodes {
+		caps[i] = capacityQPS(&c.Nodes[i])
 		total += caps[i]
 	}
 	if total <= 0 {
@@ -93,8 +98,8 @@ func partitionConsolidate(c Config) []float64 {
 	rates := make([]float64, len(c.Nodes))
 	remaining := c.RateQPS
 	var totalCap float64
-	for i, n := range c.Nodes {
-		room := c.TargetUtil * capacityQPS(n)
+	for i := range c.Nodes {
+		room := c.TargetUtil * capacityQPS(&c.Nodes[i])
 		totalCap += room
 		if remaining <= 0 {
 			continue
@@ -111,7 +116,7 @@ func partitionConsolidate(c Config) []float64 {
 		// excess proportionally to capacity rather than dropping load.
 		for i := range rates {
 			if totalCap > 0 {
-				rates[i] += remaining * (c.TargetUtil * capacityQPS(c.Nodes[i])) / totalCap
+				rates[i] += remaining * (c.TargetUtil * capacityQPS(&c.Nodes[i])) / totalCap
 			} else {
 				rates[i] += remaining / float64(len(c.Nodes))
 			}

@@ -409,3 +409,34 @@ func TestFaultSplitsTimelineClasses(t *testing.T) {
 		t.Errorf("faulted node stayed collapsed: %d classes, want 2", faulted.Classes)
 	}
 }
+
+// TestPartitionOverActiveSet pins the active-set routing a controller
+// and admission use: the policy sees exactly the up nodes' configs, in
+// fleet order, whether they form a prefix of the fleet (the fault-free
+// case, routed on the fleet's own configs) or skip a crashed node.
+func TestPartitionOverActiveSet(t *testing.T) {
+	var nodes []server.Config
+	for _, cores := range []int{4, 8, 16, 32} {
+		n := quickNode(0)
+		n.Cores = cores
+		nodes = append(nodes, n)
+	}
+	c := resolvedScenario{ScenarioConfig: ScenarioConfig{Nodes: nodes, Dispatch: DispatchLeastLoaded}}
+	const rate = 1e6
+	for _, tc := range []struct {
+		up   []int
+		want []float64
+	}{
+		{[]int{0, 1, 2}, []float64{rate * 4 / 28, rate * 8 / 28, rate * 16 / 28, 0}},
+		{[]int{1, 3}, []float64{0, rate * 8 / 40, 0, rate * 32 / 40}},
+		{nil, []float64{0, 0, 0, 0}},
+	} {
+		got := partitionOver(c, partitionLeastLoaded, rate, tc.up)
+		for i := range tc.want {
+			if !approxEq(got[i], tc.want[i]) {
+				t.Errorf("up %v: rates %v, want %v", tc.up, got, tc.want)
+				break
+			}
+		}
+	}
+}

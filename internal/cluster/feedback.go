@@ -48,8 +48,9 @@ type liveClass struct {
 // classifier. Each class gets its representative's fresh cursor, built
 // in parallel like an epoch's fan-out.
 func initialLiveClasses(c resolvedScenario, r *runner.Runner) ([]*liveClass, error) {
+	var keys runner.KeyEncoder
 	groups := groupByKey(len(c.Nodes), func(buf []byte, i int) ([]byte, bool) {
-		return runner.AppendKey(buf, c.Nodes[i])
+		return keys.AppendKey(buf, &c.Nodes[i])
 	})
 	classes := make([]*liveClass, len(groups))
 	err := r.Each(len(groups), func(ci int) error {
@@ -192,15 +193,20 @@ func activeSet(c resolvedScenario, target int, faults []runner.Fault) []int {
 // partitionOver routes rate across the given active set with the
 // configured dispatch policy, expanded back to fleet order; nodes
 // outside the set are routed nothing. An empty set routes nothing at
-// all — the whole fleet is dark.
+// all — the whole fleet is dark. up is in fleet order, so when it is a
+// prefix of the fleet (no node down) the policy reads the fleet's own
+// configs instead of copies.
 func partitionOver(c resolvedScenario, part func(Config) []float64, rate float64, up []int) []float64 {
 	rates := make([]float64, len(c.Nodes))
 	if len(up) == 0 {
 		return rates
 	}
-	upNodes := make([]server.Config, len(up))
-	for j, i := range up {
-		upNodes[j] = c.Nodes[i]
+	upNodes := c.Nodes[:len(up)]
+	if up[len(up)-1] != len(up)-1 {
+		upNodes = make([]server.Config, len(up))
+		for j, i := range up {
+			upNodes[j] = c.Nodes[i]
+		}
 	}
 	sub := part(Config{
 		Nodes:      upNodes,
@@ -241,8 +247,8 @@ func meanCapacityQPS(nodes []server.Config) float64 {
 		return 0
 	}
 	var sum float64
-	for _, n := range nodes {
-		sum += capacityQPS(n)
+	for i := range nodes {
+		sum += capacityQPS(&nodes[i])
 	}
 	return sum / float64(len(nodes))
 }

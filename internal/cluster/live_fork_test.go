@@ -139,3 +139,32 @@ func BenchmarkLiveFork(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRestoreLive measures a checkpoint restore of the twin-shaped
+// fleet taken at epoch 120: decode, the O(history) deterministic
+// re-step, and the per-class snapshot verification.
+func BenchmarkRestoreLive(b *testing.B) {
+	b.Run("twin-120", func(b *testing.B) {
+		cfg := twinScenario(256 * sim.Millisecond)
+		l, err := NewLive(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for l.Epoch() < 120 {
+			if _, err := l.Step(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		snap, err := l.Snapshot()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := RestoreLive(cfg, snap); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -89,7 +89,7 @@ func normalizeOverload(s OverloadSpec) (OverloadSpec, error) {
 func (c resolvedScenario) overloadCapacity(up []int) float64 {
 	var sum float64
 	for _, i := range up {
-		sum += c.Overload.MaxUtil * capacityQPS(c.Nodes[i])
+		sum += c.Overload.MaxUtil * capacityQPS(&c.Nodes[i])
 	}
 	return sum
 }
@@ -100,8 +100,8 @@ func (c resolvedScenario) overloadCapacity(up []int) float64 {
 // overload fixtures relative to real capacity instead of guessing.
 func AdmissionCapacityQPS(nodes []server.Config, maxUtil float64) float64 {
 	var sum float64
-	for _, n := range nodes {
-		sum += maxUtil * capacityQPS(n)
+	for i := range nodes {
+		sum += maxUtil * capacityQPS(&nodes[i])
 	}
 	return sum
 }

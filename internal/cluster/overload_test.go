@@ -29,8 +29,8 @@ func overloadScenario(sched *scenario.Schedule, epochs int) ScenarioConfig {
 // at maxUtil: 4 identical nodes.
 func fleetAdmissionCapacity(c ScenarioConfig, maxUtil float64) float64 {
 	var sum float64
-	for _, n := range c.Nodes {
-		sum += maxUtil * capacityQPS(n)
+	for i := range c.Nodes {
+		sum += maxUtil * capacityQPS(&c.Nodes[i])
 	}
 	return sum
 }

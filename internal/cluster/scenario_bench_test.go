@@ -78,6 +78,25 @@ func BenchmarkRunScenarioWarmReactive(b *testing.B) {
 // O(nodes) plan/keying pass and the O(classes x epochs) compact
 // aggregation — which is what this benchmark gates.
 func BenchmarkRunScenario100K(b *testing.B) {
+	cfg := scenario100K(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfg.Runner = runner.New(0)
+		res, err := RunScenario(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Classes != 1 || res.CI == nil {
+			b.Fatalf("fleet did not collapse: %d classes, CI %v", res.Classes, res.CI)
+		}
+	}
+}
+
+// scenario100K is BenchmarkRunScenario100K's configuration: 100K
+// shared-seed nodes over the compressed diurnal day, spread dispatch,
+// parking, 4 replicas and compact aggregation, with no Runner set.
+func scenario100K(tb testing.TB) ScenarioConfig {
 	template := server.Config{
 		Platform: governor.Baseline,
 		Profile:  workload.Memcached(),
@@ -88,32 +107,38 @@ func BenchmarkRunScenario100K(b *testing.B) {
 	total := 48 * sim.Millisecond
 	sched, err := scenario.Diurnal(nodes*800e3, 0.6, total, 12)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	fleet := make([]server.Config, nodes)
 	for i := range fleet {
 		fleet[i] = template
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := RunScenario(ScenarioConfig{
-			Nodes:        fleet,
-			Schedule:     sched,
-			Epoch:        2 * sim.Millisecond,
-			Dispatch:     DispatchSpread,
-			ParkDrained:  true,
-			Replicas:     4,
-			CompactNodes: true,
-			Runner:       runner.New(0),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Classes != 1 || res.CI == nil {
-			b.Fatalf("fleet did not collapse: %d classes, CI %v", res.Classes, res.CI)
-		}
+	return ScenarioConfig{
+		Nodes:        fleet,
+		Schedule:     sched,
+		Epoch:        2 * sim.Millisecond,
+		Dispatch:     DispatchSpread,
+		ParkDrained:  true,
+		Replicas:     4,
+		CompactNodes: true,
 	}
+}
+
+// BenchmarkNewLive measures building the steppable fleet for
+// BenchmarkRunScenario100K's day: plan, the initial O(nodes) class
+// keying, and one fresh cursor for the single class.
+func BenchmarkNewLive(b *testing.B) {
+	b.Run("shared-100K", func(b *testing.B) {
+		cfg := scenario100K(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			cfg.Runner = runner.New(0)
+			if _, err := NewLive(cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkClassifyTimelines measures the timeline-class pass alone on

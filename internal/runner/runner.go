@@ -22,6 +22,7 @@ import (
 	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/snapbuf"
+	"repro/internal/workload"
 )
 
 // cacheShards is the number of independently locked cache segments. The
@@ -148,10 +149,21 @@ func Default() *Runner { return defaultRunner }
 // explicitly-default knobs (Dispatch "" vs "round-robin", PackQueueCap 0
 // vs 4, ...) share one cache slot, followed by RatePerSec and the
 // length-prefixed schedule fingerprint. Every field is fixed-width or
-// length-prefixed, so distinct configs never encode alike.
+// length-prefixed, so distinct configs never encode alike. A pass
+// keying many configs uses a KeyEncoder instead.
 func AppendKey(buf []byte, cfg server.Config) ([]byte, bool) {
+	// One allocation holds any built-in profile's fingerprint text.
+	fp, ok := cfg.Profile.AppendFingerprint(make([]byte, 0, 256))
+	if !ok {
+		return buf, false
+	}
+	return appendKey(buf, &cfg, fp)
+}
+
+// appendKey is AppendKey with the profile's fingerprint text supplied.
+func appendKey(buf []byte, cfg *server.Config, fingerprint []byte) ([]byte, bool) {
 	e := snapbuf.Encoder{Buf: buf}
-	if !server.EncodeKey(&e, cfg) {
+	if !server.EncodeKey(&e, cfg, fingerprint) {
 		return buf, false
 	}
 	e.F64(cfg.RatePerSec)
@@ -163,6 +175,43 @@ func AppendKey(buf []byte, cfg server.Config) ([]byte, bool) {
 	}
 	e.Str(sched)
 	return e.Buf, true
+}
+
+// KeyEncoder appends the keys AppendKey and AppendTimelineKey append,
+// byte for byte, for a pass over many configs: it remembers the last
+// profile it fingerprinted and reuses that text while the configs it
+// is handed share the profile value (workload.SameFingerprint), so a
+// fleet pays the fingerprint formatting once per run of equal
+// profiles, not once per node. The zero value is ready to use; use one
+// per pass, from one goroutine. A *MMPP2 arrival process compares by
+// identity, so its modulation state must not change while the encoder
+// is in use: key, then simulate.
+type KeyEncoder struct {
+	prof workload.Profile
+	fp   []byte // prof's fingerprint text; nil until one is formatted
+}
+
+// AppendKey is AppendKey for *cfg.
+func (k *KeyEncoder) AppendKey(buf []byte, cfg *server.Config) ([]byte, bool) {
+	if k.fp == nil || !workload.SameFingerprint(&k.prof, &cfg.Profile) {
+		fp, ok := cfg.Profile.AppendFingerprint(k.fp[:0])
+		if !ok {
+			return buf, false
+		}
+		k.prof, k.fp = cfg.Profile, fp
+	}
+	return appendKey(buf, cfg, k.fp)
+}
+
+// AppendTimelineKey is AppendTimelineKey for the timeline of *node
+// under park and intervals, taken apart so a pass need not build a
+// TimelineSpec per node.
+func (k *KeyEncoder) AppendTimelineKey(buf []byte, node *server.Config, park bool, intervals []Interval) ([]byte, bool) {
+	buf, ok := k.AppendKey(buf, node)
+	if !ok {
+		return buf, false
+	}
+	return appendTimeline(buf, park, intervals), true
 }
 
 // Key is AppendKey into a fresh string.
@@ -221,9 +270,15 @@ func AppendTimelineKey(buf []byte, spec TimelineSpec) ([]byte, bool) {
 	if !ok {
 		return buf, false
 	}
+	return appendTimeline(buf, spec.Park, spec.Intervals), true
+}
+
+// appendTimeline appends the park flag and interval list of a timeline
+// key.
+func appendTimeline(buf []byte, park bool, intervals []Interval) []byte {
 	e := snapbuf.Encoder{Buf: buf}
-	e.Bool(spec.Park)
-	for _, iv := range spec.Intervals {
+	e.Bool(park)
+	for _, iv := range intervals {
 		e.I64(int64(iv.Window))
 		e.F64(iv.Rate)
 		// A healthy interval carries a 0 marker and a faulted one a 1 plus
@@ -238,7 +293,7 @@ func AppendTimelineKey(buf []byte, spec TimelineSpec) ([]byte, bool) {
 			e.F64(f.TurboCap)
 		}
 	}
-	return e.Buf, true
+	return e.Buf
 }
 
 // TimelineKey is AppendTimelineKey into a fresh string.

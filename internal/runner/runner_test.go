@@ -1,7 +1,9 @@
 package runner
 
 import (
+	"bytes"
 	"errors"
+	"math"
 	"sync/atomic"
 	"testing"
 
@@ -315,5 +317,57 @@ func TestClassStatsAccumulate(t *testing.T) {
 	n, c, k := r.ClassStats()
 	if n != 150 || c != 53 || k != 6 {
 		t.Errorf("class stats = %d/%d/%d, want 150/53/6", n, c, k)
+	}
+}
+
+// TestKeyEncoderMatchesOneShot pins the classifiers' reusing encoder to
+// the one-shot keys: over a mixed fleet, one KeyEncoder handed every
+// node in turn appends exactly AppendKey's and AppendTimelineKey's
+// bytes, and refuses exactly the nodes they refuse. The fleet switches
+// profile at every node, repeats a profile back to back, carries two
+// distinct *MMPP2 with equal parameters and a pair of profiles that
+// differ only in the sign of a zero (== but printed apart), and mixes
+// in a non-fingerprintable MemcachedETC node and a custom-catalog node.
+func TestKeyEncoderMatchesOneShot(t *testing.T) {
+	etc, err := workload.MemcachedETC(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	posZero, negZero := workload.MySQL(), workload.MySQL()
+	posZero.FreqScalability = 0
+	negZero.FreqScalability = math.Copysign(0, -1)
+	profiles := []workload.Profile{
+		workload.Memcached(), workload.Kafka(), workload.Memcached(), workload.Memcached(),
+		workload.Kafka(), workload.Kafka(), etc, workload.MySQL(), posZero, negZero, posZero,
+	}
+	var fleet []server.Config
+	for i, p := range profiles {
+		cfg := quickCfg()
+		cfg.Profile = p
+		cfg.Seed = uint64(i % 3)
+		fleet = append(fleet, cfg)
+	}
+	custom := quickCfg()
+	custom.Catalog = cstate.Skylake()
+	fleet = append(fleet, custom, quickCfg())
+	intervals := timelineSpec().Intervals
+
+	var keys KeyEncoder
+	var buf []byte
+	for i := range fleet {
+		want, wantOK := AppendKey([]byte("prefix"), fleet[i])
+		got, gotOK := keys.AppendKey(append(buf[:0], "prefix"...), &fleet[i])
+		if gotOK != wantOK || !bytes.Equal(got, want) {
+			t.Errorf("node %d (%s): encoder key %v/%x, one-shot %v/%x", i, fleet[i].Profile.Name, gotOK, got, wantOK, want)
+		}
+		spec := TimelineSpec{Node: fleet[i], Park: i%2 == 0, Intervals: intervals}
+		want, wantOK = AppendTimelineKey(nil, spec)
+		buf, gotOK = keys.AppendTimelineKey(buf[:0], &fleet[i], spec.Park, intervals)
+		if gotOK != wantOK || !bytes.Equal(buf, want) {
+			t.Errorf("node %d (%s): encoder timeline key %v/%x, one-shot %v/%x", i, fleet[i].Profile.Name, gotOK, buf, wantOK, want)
+		}
+		if refuse := fleet[i].Profile.Name == etc.Name || fleet[i].Catalog != nil; wantOK == refuse {
+			t.Errorf("node %d (%s): cacheable = %v", i, fleet[i].Profile.Name, wantOK)
+		}
 	}
 }

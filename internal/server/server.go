@@ -128,20 +128,24 @@ type Config struct {
 	ThinkTime sim.Time
 }
 
+// DefaultCores is the core count of a Config that leaves Cores unset.
+const DefaultCores = 20
+
 // Defaults fills unset fields with the paper's platform values.
 func (c Config) Defaults() Config {
 	if c.Catalog == nil {
 		c.Catalog = cstate.Skylake()
 	}
-	return c.valueDefaults()
+	c.applyValueDefaults()
+	return c
 }
 
-// valueDefaults is Defaults without the C-state catalog: every default a
-// memo key encodes, minus the catalog no key encodes and every call
-// would otherwise build afresh.
-func (c Config) valueDefaults() Config {
+// applyValueDefaults is Defaults without the C-state catalog, in place:
+// every default a memo key encodes, minus the catalog no key encodes
+// and every call would otherwise build afresh.
+func (c *Config) applyValueDefaults() {
 	if c.Cores == 0 {
-		c.Cores = 20
+		c.Cores = DefaultCores
 	}
 	if c.GovernorPolicy == "" {
 		c.GovernorPolicy = governor.PolicyMenu
@@ -210,7 +214,6 @@ func (c Config) valueDefaults() Config {
 	if c.PkgUncoreLowW == 0 {
 		c.PkgUncoreLowW = 12
 	}
-	return c
 }
 
 // Validate rejects unusable configurations.

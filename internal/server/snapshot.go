@@ -62,18 +62,18 @@ func (ins *Instance) Snapshot() ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: snapshot: profile %q is not a registered built-in: %w", cfg.Profile.Name, err)
 	}
-	fp, ok := cfg.Profile.Fingerprint()
+	fp, ok := cfg.Profile.AppendFingerprint(nil)
 	if !ok {
 		return nil, fmt.Errorf("server: snapshot: profile %q is not fingerprintable (live state cannot be serialized)", cfg.Profile.Name)
 	}
 	regFP, _ := reg.Fingerprint()
-	if fp != regFP {
+	if string(fp) != regFP {
 		return nil, fmt.Errorf("server: snapshot: profile %q differs from the registered built-in of that name", cfg.Profile.Name)
 	}
 
 	var e snapbuf.Encoder
 	e.U8(snapshotVersion)
-	encodeConfig(&e, cfg) // the profile's fingerprint was checked above
+	encodeConfig(&e, &cfg, fp)
 	e.Bool(ins.park)
 
 	// Interval history.
@@ -101,23 +101,28 @@ func (ins *Instance) Snapshot() ([]byte, error) {
 
 // EncodeKey appends the config block of cfg with every unset knob
 // defaulted, so zero-value and explicitly-default configs encode alike,
-// and reports whether cfg is captured by value. A custom Catalog, a
-// TraceHook, or a profile without a fingerprint (live mutable state)
-// report false; e.Buf may then hold a partial block to discard. It is
-// the shared prefix of the runner's memo and class keys, so those keys
-// and snapshots list the behavioural fields in one place.
-func EncodeKey(e *snapbuf.Encoder, cfg Config) bool {
+// and reports whether cfg is captured by value: a custom Catalog or a
+// TraceHook report false and append nothing. fingerprint is the text
+// cfg.Profile.AppendFingerprint appends; the caller checks that the
+// profile has one, and a caller keying many nodes reuses one text
+// across nodes that share a profile. It is the shared prefix of the
+// runner's memo and class keys, so those keys and snapshots list the
+// behavioural fields in one place.
+func EncodeKey(e *snapbuf.Encoder, cfg *Config, fingerprint []byte) bool {
 	if cfg.Catalog != nil || cfg.TraceHook != nil {
 		return false
 	}
-	return encodeConfig(e, cfg.valueDefaults())
+	d := *cfg
+	d.applyValueDefaults()
+	encodeConfig(e, &d, fingerprint)
+	return true
 }
 
 // encodeConfig appends the config block: every behavioural Config field
 // by value except RatePerSec and Schedule, which an Instance ignores,
-// with the profile as its registry name plus fingerprint text. It
-// reports false when the profile has no fingerprint.
-func encodeConfig(e *snapbuf.Encoder, cfg Config) bool {
+// with the profile as its registry name plus fingerprint, the text
+// cfg.Profile.AppendFingerprint appends.
+func encodeConfig(e *snapbuf.Encoder, cfg *Config, fingerprint []byte) {
 	e.I64(int64(cfg.Cores))
 	e.Str(cfg.Platform.Name)
 	e.I64(int64(len(cfg.Platform.Menu)))
@@ -128,14 +133,7 @@ func encodeConfig(e *snapbuf.Encoder, cfg Config) bool {
 	e.Bool(cfg.Platform.AgileWatts)
 	e.Str(cfg.GovernorPolicy)
 	e.Str(cfg.Profile.Name)
-	ok := false
-	e.Append(func(b []byte) []byte {
-		b, ok = cfg.Profile.AppendFingerprint(b)
-		return b
-	})
-	if !ok {
-		return false
-	}
+	e.Bytes(fingerprint)
 	e.I64(int64(cfg.Duration))
 	e.I64(int64(cfg.Warmup))
 	e.U64(cfg.Seed)
@@ -161,7 +159,6 @@ func encodeConfig(e *snapbuf.Encoder, cfg Config) bool {
 	e.F64(cfg.PkgUncoreLowW)
 	e.I64(int64(cfg.ClosedLoopConnections))
 	e.I64(int64(cfg.ThinkTime))
-	return true
 }
 
 // Restore rebuilds an instance from a Snapshot payload: strict decode

@@ -35,19 +35,11 @@ func (e *Encoder) Str(s string) {
 	e.Buf = append(e.Buf, s...)
 }
 
-// Bytes writes a length-prefixed byte payload (a nested document).
+// Bytes writes a length-prefixed byte payload (a nested document, or
+// text built in a byte slice): the wire form of Str.
 func (e *Encoder) Bytes(b []byte) {
 	e.I64(int64(len(b)))
 	e.Buf = append(e.Buf, b...)
-}
-
-// Append writes a length-prefixed payload that fn appends in place: the
-// wire form of Str and Bytes, without building the payload separately.
-func (e *Encoder) Append(fn func(b []byte) []byte) {
-	at := len(e.Buf)
-	e.U64(0)
-	e.Buf = fn(e.Buf)
-	binary.BigEndian.PutUint64(e.Buf[at:], uint64(len(e.Buf)-at-8))
 }
 
 // Decoder is the strict mirror: any read past the payload sets the

@@ -14,6 +14,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"repro/internal/sim"
@@ -268,11 +269,7 @@ func (p Profile) Fingerprint() (string, bool) {
 // text must not change: snapshots store it and restores compare against
 // it (TestFingerprintTextPinned).
 func (p Profile) AppendFingerprint(b []byte) ([]byte, bool) {
-	af, ok := p.Arrivals.(fingerprinter)
-	if !ok {
-		return b, false
-	}
-	sf, ok := p.Service.(fingerprinter)
+	af, sf, ok := p.fingerprinters()
 	if !ok {
 		return b, false
 	}
@@ -283,6 +280,56 @@ func (p Profile) AppendFingerprint(b []byte) ([]byte, bool) {
 	b = af.appendFingerprint(append(b, "|arr="...))
 	return sf.appendFingerprint(append(b, "|svc="...)), true
 }
+
+// fingerprinters returns p's arrival and service fingerprinters, and
+// false when either component has none.
+func (p Profile) fingerprinters() (fingerprinter, fingerprinter, bool) {
+	af, ok := p.Arrivals.(fingerprinter)
+	if !ok {
+		return nil, nil, false
+	}
+	sf, ok := p.Service.(fingerprinter)
+	return af, sf, ok
+}
+
+// SameFingerprint reports whether a and b are both fingerprintable and
+// append identical fingerprint text, without formatting either: a pass
+// keying many nodes formats a shared profile's text once. Every
+// fingerprinter type is comparable, so == on two fingerprintable
+// profiles cannot panic; a MemcachedETC or custom component is refused
+// before it reaches ==. A *MMPP2 compares by pointer, so two distinct
+// processes with equal parameters report false, which only costs a
+// reformat. == also equates -0 and +0, which %g prints apart, so the
+// float fields must agree in sign too.
+func SameFingerprint(a, b *Profile) bool {
+	if _, _, ok := a.fingerprinters(); !ok {
+		return false
+	}
+	if _, _, ok := b.fingerprinters(); !ok {
+		return false
+	}
+	if *a != *b {
+		return false
+	}
+	if !sameSigns(a.RefFreqHz, b.RefFreqHz) || !sameSigns(a.FreqScalability, b.FreqScalability) ||
+		!sameSigns(a.NetworkCV, b.NetworkCV) {
+		return false
+	}
+	// a.Service == b.Service, so both hold the same dynamic type. An
+	// equal *MMPP2 is one process, so its floats need no check.
+	switch sa := a.Service.(type) {
+	case LogNormalService:
+		return sameSigns(sa.CV, b.Service.(LogNormalService).CV)
+	case TailedService:
+		sb := b.Service.(TailedService)
+		return sameSigns(sa.Body.CV, sb.Body.CV) && sameSigns(sa.TailProb, sb.TailProb) &&
+			sameSigns(sa.TailAlpha, sb.TailAlpha)
+	}
+	return true
+}
+
+// sameSigns reports whether two floats that are == also agree in sign.
+func sameSigns(x, y float64) bool { return math.Signbit(x) == math.Signbit(y) }
 
 // UtilizationAt returns the offered per-core utilization at an aggregate
 // rate spread over the given core count.

@@ -1,7 +1,14 @@
 package workload
 
 import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -241,5 +248,156 @@ func TestServiceMeansOrdered(t *testing.T) {
 	my := MySQL().Service.Mean()
 	if !(mc < kf && kf < my) {
 		t.Fatalf("service means not ordered: %v %v %v", mc, kf, my)
+	}
+}
+
+// TestFingerprintersComparable pins the precondition of SameFingerprint's
+// ==: every type with an appendFingerprint method is comparable. The
+// list is checked against the package source, so a new fingerprinter
+// type cannot skip the check.
+func TestFingerprintersComparable(t *testing.T) {
+	listed := map[string]bool{}
+	for _, f := range []fingerprinter{Poisson{}, &MMPP2{}, LogNormalService{}, TailedService{}} {
+		rt := reflect.TypeOf(f)
+		listed[strings.Replace(rt.String(), "workload.", "", 1)] = true
+		if !rt.Comparable() {
+			t.Errorf("fingerprinter %v is not comparable", rt)
+		}
+	}
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := 0
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || fn.Recv == nil || fn.Name.Name != "appendFingerprint" {
+					continue
+				}
+				recv := fn.Recv.List[0].Type
+				name := ""
+				if star, ok := recv.(*ast.StarExpr); ok {
+					name, recv = "*", star.X
+				}
+				name += recv.(*ast.Ident).Name
+				found++
+				if !listed[name] {
+					t.Errorf("fingerprinter %s is missing from this test's list", name)
+				}
+			}
+		}
+	}
+	if found != len(listed) {
+		t.Errorf("source has %d fingerprinter types, the list %d", found, len(listed))
+	}
+}
+
+// sliceService is a service distribution of a non-comparable type: ==
+// on a profile holding it would panic.
+type sliceService struct{ xs []sim.Time }
+
+func (s sliceService) Sample(*xrand.Rand) sim.Time { return s.xs[0] }
+func (s sliceService) Mean() sim.Time              { return s.xs[0] }
+func (s sliceService) Name() string                { return "slice" }
+
+// floatFields returns the index paths of every settable float64 field
+// reachable through nested structs of t.
+func floatFields(t reflect.Type, prefix []int) [][]int {
+	var out [][]int
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		path := append(append([]int(nil), prefix...), i)
+		switch {
+		case !f.IsExported():
+		case f.Type.Kind() == reflect.Float64:
+			out = append(out, path)
+		case f.Type.Kind() == reflect.Struct:
+			out = append(out, floatFields(f.Type, path)...)
+		}
+	}
+	return out
+}
+
+// TestSameFingerprint pins that SameFingerprint reports true only for
+// profiles whose fingerprint texts are equal: for every float field of
+// the profile and of each built-in service type, a +0/-0 pair (== but
+// printed apart) is told apart, and equal values are recognised. It
+// refuses, without panicking, a profile whose component has no
+// fingerprint, even one of a non-comparable type.
+func TestSameFingerprint(t *testing.T) {
+	text := func(p Profile) string {
+		s, ok := p.Fingerprint()
+		if !ok {
+			t.Fatalf("%s: not fingerprintable", p.Name)
+		}
+		return s
+	}
+	check := func(what string, a, b Profile) {
+		t.Helper()
+		same, equal := SameFingerprint(&a, &b), text(a) == text(b)
+		if same && !equal {
+			t.Errorf("%s: SameFingerprint true for texts %q and %q", what, text(a), text(b))
+		}
+		if !same && equal && reflect.DeepEqual(a, b) {
+			t.Errorf("%s: SameFingerprint false for equal profiles", what)
+		}
+	}
+	mm := NewMMPP2()
+	var bases []Profile
+	for _, p := range []Profile{Memcached(), Kafka(), MySQL()} {
+		bases = append(bases, p)
+		p.Arrivals, p.Service = mm, LogNormalService{MeanTime: 5000, CV: 0.5}
+		bases = append(bases, p)
+	}
+	negZero := math.Copysign(0, -1)
+	for _, base := range bases {
+		check(base.Name+" copy", base, base)
+		pt := reflect.TypeOf(base)
+		for _, path := range floatFields(pt, nil) {
+			a, b := base, base
+			reflect.ValueOf(&a).Elem().FieldByIndex(path).SetFloat(0)
+			reflect.ValueOf(&b).Elem().FieldByIndex(path).SetFloat(negZero)
+			check(fmt.Sprintf("%s %s ±0", base.Name, pt.FieldByIndex(path).Name), a, b)
+		}
+		for _, comp := range []string{"Arrivals", "Service"} {
+			cv := reflect.ValueOf(base).FieldByName(comp).Elem()
+			ct := cv.Type()
+			if ct.Kind() != reflect.Struct {
+				continue // a *MMPP2 compares by identity
+			}
+			for _, path := range floatFields(ct, nil) {
+				a, b := base, base
+				for p, sign := range map[*Profile]float64{&a: 0, &b: negZero} {
+					v := reflect.New(ct).Elem()
+					v.Set(cv)
+					v.FieldByIndex(path).SetFloat(sign)
+					reflect.ValueOf(p).Elem().FieldByName(comp).Set(v)
+				}
+				what := fmt.Sprintf("%s %s %s", base.Name, comp, ct.FieldByIndex(path).Name)
+				check(what+" ±0", a, b)
+				check(what+" +0 copy", a, a)
+			}
+		}
+	}
+	if kafka, twin := Kafka(), Kafka(); SameFingerprint(&kafka, &twin) {
+		t.Error("two distinct *MMPP2 compared equal by value; SameFingerprint must compare processes by identity")
+	}
+
+	etc, err := MemcachedETC(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	custom := Memcached()
+	custom.Service = sliceService{xs: []sim.Time{1000}}
+	for _, p := range []Profile{etc, custom} {
+		mc := Memcached()
+		if SameFingerprint(&p, &p) || SameFingerprint(&p, &mc) || SameFingerprint(&mc, &p) {
+			t.Errorf("%s: a profile without a fingerprint compared equal", p.Name)
+		}
 	}
 }

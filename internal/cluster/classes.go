@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/runner"
 	"repro/internal/server"
@@ -35,11 +34,11 @@ type FleetCI struct {
 	WorstP99US CI
 }
 
-// timelineClass is one timeline equivalence class of the fleet: every
-// member node is a bit-identical simulation (same node fingerprint,
-// park flag and per-epoch rate timeline — the runner.TimelineKey), so
-// one representative run stands for all of them, plus K seeded replicas
-// for error bars.
+// timelineClass is one timeline equivalence class of a finished run,
+// as Live.Result packages it: every member node is a bit-identical
+// simulation (same node key, park flag and realized rate-and-fault
+// timeline), so one representative run stands for all of them, plus K
+// seeded replicas for error bars.
 type timelineClass struct {
 	// rep is the representative: the class's first member node index.
 	rep int
@@ -50,43 +49,6 @@ type timelineClass struct {
 	// results[r][e] is replica r's epoch-e measurement; replica 0 is the
 	// representative under its own natural seed.
 	results [][]server.IntervalResult
-}
-
-// classifyTimelines groups the fleet into timeline equivalence classes
-// keyed by runner.TimelineKey, preserving fleet order (a class sits at
-// its first member's position). Uncacheable nodes (custom catalog,
-// trace hook, live profile) cannot prove equivalence by key and stay
-// singleton classes, which also makes a deliberately heterogeneous
-// fleet degrade gracefully to one class per node — exactly today's
-// behavior, with today's cost. Fault annotations (faults[e][i], nil on
-// healthy runs) are part of each interval and therefore of the class
-// key, so a faulted node can never collapse with a healthy one.
-func classifyTimelines(c resolvedScenario, plan []epochWindow, faults [][]runner.Fault) []timelineClass {
-	// One scratch interval list and one key encoder serve every node's
-	// key; a class copies out its representative's list only once it
-	// exists.
-	scratch := make([]runner.Interval, len(plan))
-	intervalsOf := func(i int) []runner.Interval {
-		for e := range plan {
-			pw := &plan[e]
-			scratch[e] = runner.Interval{Window: pw.end - pw.start, Rate: pw.rates[i]}
-			if faults != nil {
-				scratch[e].Fault = faults[e][i]
-			}
-		}
-		return scratch
-	}
-	var keys runner.KeyEncoder
-	groups := groupByKey(len(c.Nodes), func(buf []byte, i int) ([]byte, bool) {
-		return keys.AppendTimelineKey(buf, &c.Nodes[i], c.ParkDrained, intervalsOf(i))
-	})
-	classes := make([]timelineClass, len(groups))
-	for ci, members := range groups {
-		rep := members[0]
-		spec := runner.TimelineSpec{Node: c.Nodes[rep], Park: c.ParkDrained, Intervals: slices.Clone(intervalsOf(rep))}
-		classes[ci] = timelineClass{rep: rep, members: members, spec: spec}
-	}
-	return classes
 }
 
 // groupByKey partitions nodes 0..n-1 into classes of equal key, in
@@ -131,26 +93,20 @@ func groupByKey(n int, key func(buf []byte, i int) ([]byte, bool)) [][]int {
 	return groups
 }
 
-// runClasses executes every class representative plus its k seeded
-// replicas, each as one independent pipelined runner task. Replica r of
-// class c runs the representative's exact spec under seed
-// xrand.ClassReplicaSeed(c, r) — drawn from the plane disjoint from all
-// node and epoch-mixed seeds, so a replica can never alias a real
-// node's simulation in the memo cache.
-func runClasses(classes []timelineClass, k int, r *runner.Runner) error {
-	per := k + 1
-	for ci := range classes {
-		classes[ci].results = make([][]server.IntervalResult, per)
-	}
-	return r.Each(len(classes)*per, func(t int) error {
-		ci, rep := t/per, t%per
+// runReplicas runs the k seeded replicas of every class:
+// replica rep of class ci re-runs the representative's realized spec
+// under seed xrand.ClassReplicaSeed(ci, rep), drawn from the plane
+// disjoint from all node seeds, through the memoized RunTimeline. A
+// replica can therefore never alias a real node's simulation in the
+// memo cache.
+func runReplicas(classes []timelineClass, k int, r *runner.Runner) error {
+	return r.Each(len(classes)*k, func(t int) error {
+		ci, rep := t/k, t%k+1
 		spec := classes[ci].spec
-		if rep > 0 {
-			spec.Node.Seed = xrand.ClassReplicaSeed(ci, rep)
-		}
+		spec.Node.Seed = xrand.ClassReplicaSeed(ci, rep)
 		res, err := r.RunTimeline(spec)
 		if err != nil {
-			return fmt.Errorf("cluster: node %d timeline (class %d replica %d): %w",
+			return fmt.Errorf("cluster: node %d realized timeline (class %d replica %d): %w",
 				classes[ci].rep, ci, rep, err)
 		}
 		classes[ci].results[rep] = res

@@ -37,51 +37,40 @@ func approxEq(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
 }
 
-// classifyFixture resolves and plans BenchmarkRunScenario100K's day
-// (24 x 2ms diurnal epochs, spread, park) for an n-node fleet: shared
-// seeds collapse it to one timeline class, distinct seeds leave n.
-func classifyFixture(tb testing.TB, n int, shared bool) (resolvedScenario, []epochWindow) {
-	tb.Helper()
-	node := quickNode(0)
-	nodes := Homogeneous(n, node)
+// classifyFleet is an n-node Baseline Memcached fleet, the node shape
+// of BenchmarkRunScenario100K: shared seeds make every node key alike,
+// distinct seeds leave n keys.
+func classifyFleet(n int, shared bool) []server.Config {
 	if shared {
-		nodes = sharedFleet(n, node)
+		return sharedFleet(n, quickNode(0))
 	}
-	sched, err := scenario.Diurnal(float64(n)*800e3, 0.6, 48*sim.Millisecond, 12)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	c, err := ScenarioConfig{
-		Nodes:       nodes,
-		Schedule:    sched,
-		Epoch:       2 * sim.Millisecond,
-		Dispatch:    DispatchSpread,
-		ParkDrained: true,
-	}.Normalize()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	part, err := partitioner(c.Dispatch)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return c, planEpochs(c, part, c.total)
+	return Homogeneous(n, quickNode(0))
 }
 
-// TestClassifyAllocatesPerClass pins that classification allocates per
-// class, not per node: a shared-seed fleet costs the same allocations
-// at 1K nodes as at 16K, and each further class costs a bounded few.
+// groupFleet is the fleet keying pass a Live starts from: groupByKey
+// over one KeyEncoder's AppendKey, as initialLiveClasses runs it.
+func groupFleet(nodes []server.Config) [][]int {
+	var keys runner.KeyEncoder
+	return groupByKey(len(nodes), func(buf []byte, i int) ([]byte, bool) {
+		return keys.AppendKey(buf, &nodes[i])
+	})
+}
+
+// TestClassifyAllocatesPerClass pins that the fleet keying pass
+// allocates per class, not per node: a shared-seed fleet costs the same
+// allocations at 1K nodes as at 16K, and each further class costs a
+// bounded few.
 func TestClassifyAllocatesPerClass(t *testing.T) {
 	allocs := func(n int, shared bool) float64 {
-		c, plan := classifyFixture(t, n, shared)
+		nodes := classifyFleet(n, shared)
 		wantClasses := n
 		if shared {
 			wantClasses = 1
 		}
-		if got := len(classifyTimelines(c, plan, nil)); got != wantClasses {
+		if got := len(groupFleet(nodes)); got != wantClasses {
 			t.Fatalf("%d nodes (shared=%v) formed %d classes, want %d", n, shared, got, wantClasses)
 		}
-		return testing.AllocsPerRun(3, func() { classifyTimelines(c, plan, nil) })
+		return testing.AllocsPerRun(3, func() { groupFleet(nodes) })
 	}
 	small, large := allocs(1_000, true), allocs(16_000, true)
 	if small != large || large > 32 {
@@ -342,9 +331,7 @@ func TestCompactLargeSharedFleet(t *testing.T) {
 // class, and a single differing behavioral field — cores, platform,
 // seed, park flag, one interval's rate, the timeline shape, the
 // profile — must split them. A custom catalog makes the key refuse
-// entirely (uncacheable nodes never group). The classifiers' reusing
-// KeyEncoder, handed the specs in turn, must key each exactly as the
-// one-shot TimelineKey does.
+// entirely (uncacheable nodes never group).
 func FuzzTimelineClassKey(f *testing.F) {
 	f.Add(uint64(42), uint8(0), true, 100e3)
 	f.Add(uint64(0), uint8(1), false, 0.0)
@@ -377,14 +364,6 @@ func FuzzTimelineClassKey(f *testing.F) {
 		}
 		if key2, ok2 := runner.TimelineKey(mk()); !ok2 || key2 != key {
 			t.Fatal("identical specs did not land in the same class")
-		}
-		var keys runner.KeyEncoder
-		encKey := func(s runner.TimelineSpec) (string, bool) {
-			b, ok := keys.AppendTimelineKey(nil, &s.Node, s.Park, s.Intervals)
-			return string(b), ok
-		}
-		if ekey, eok := encKey(mk()); !eok || ekey != key {
-			t.Fatal("the reusing encoder keyed a spec unlike TimelineKey")
 		}
 		mut := mk()
 		mut.Intervals = append([]runner.Interval(nil), mut.Intervals...)
@@ -426,19 +405,10 @@ func FuzzTimelineClassKey(f *testing.F) {
 		if !mok || mkey == key {
 			t.Fatalf("mutation %d did not split the class (ok=%v)", mutation%7, mok)
 		}
-		if ekey, eok := encKey(mut); !eok || ekey != mkey {
-			t.Fatalf("mutation %d: the reusing encoder keyed the mutant unlike TimelineKey", mutation%7)
-		}
-		if ekey, eok := encKey(mk()); !eok || ekey != key {
-			t.Fatalf("mutation %d: the reusing encoder keyed the base spec unlike TimelineKey after the mutant", mutation%7)
-		}
 		cat := mk()
 		cat.Node.Catalog = cstate.EPYC()
 		if _, ok := runner.TimelineKey(cat); ok {
 			t.Fatal("custom-catalog node claimed a class key")
-		}
-		if _, ok := encKey(cat); ok {
-			t.Fatal("custom-catalog node claimed a class key from the reusing encoder")
 		}
 	})
 }

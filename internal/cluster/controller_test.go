@@ -23,13 +23,12 @@ func stripControllerFields(r ScenarioResult) ScenarioResult {
 	return r
 }
 
-// TestOracleControllerMatchesOpenLoopBitForBit is the incremental
-// engine's exactness proof: routing a scenario through the closed-loop
-// machinery with the oracle controller — live classes, per-epoch
-// telemetry sampling, split detection, post-run repackaging — must
-// reproduce the open-loop warm path bit-for-bit, in every mode
-// (expanded, compact, with replica CIs), because the oracle replays the
-// precomputed plan verbatim and everything else is bookkeeping.
+// TestOracleControllerMatchesOpenLoopBitForBit pins that the oracle
+// controller is the open-loop run plus its controller echo: both replay
+// the precomputed plan verbatim, so in every mode (expanded, compact,
+// with replica CIs) the results differ only in Controller and
+// TargetNodes. TestOpenLoopMatchesPerNodeTimelines checks the open-loop
+// run itself against each node's timeline run alone.
 func TestOracleControllerMatchesOpenLoopBitForBit(t *testing.T) {
 	node := quickNode(0)
 	node.Warmup = 5 * sim.Millisecond

@@ -6,19 +6,18 @@ import (
 	"repro/internal/runner"
 	"repro/internal/server"
 	"repro/internal/sim"
-	"repro/internal/xrand"
 )
 
-// liveClass is one timeline equivalence class of a *controlled* run,
-// grown epoch by epoch. Under a controller the epoch plan is no longer
-// static — each epoch's rate partition depends on the previous epoch's
-// realized telemetry — so classes cannot be fixed up front from the
-// schedule; instead the fleet starts collapsed by base node key (nodes
-// that are bit-identical simulations before any load arrives) and a
-// class splits the first epoch the controller's decisions route its
-// members different rates. Members whose decision streams stay
-// identical stay collapsed for the whole run, preserving the
-// class-collapse economics of the open-loop warm path.
+// liveClass is one timeline equivalence class of a Live run, grown
+// epoch by epoch. Under a controller the epoch plan is not static —
+// each epoch's rate partition depends on the previous epoch's realized
+// telemetry — so classes cannot be fixed up front from the schedule.
+// Instead the fleet starts collapsed by base node key (nodes that are
+// bit-identical simulations before any load arrives) and a class
+// splits the first epoch its members are routed different rates or
+// faults. Members whose timelines stay identical stay collapsed for the
+// whole run. An open-loop run splits on the plan's rates, so its
+// classes end up exactly the fleet's full-timeline equivalence classes.
 type liveClass struct {
 	// rep is the representative: the class's first member node index.
 	rep int
@@ -44,9 +43,9 @@ type liveClass struct {
 // initialLiveClasses collapses the fleet by base node key: before any
 // rates diverge, nodes with equal configurations (and the shared park
 // flag) are bit-identical simulations. Uncacheable nodes cannot prove
-// equivalence by key and stay singletons, exactly as in the open-loop
-// classifier. Each class gets its representative's fresh cursor, built
-// in parallel like an epoch's fan-out.
+// equivalence by key and stay singletons, as runner.TimelineKey refuses
+// them. Each class gets its representative's fresh cursor, built in
+// parallel like an epoch's fan-out.
 func initialLiveClasses(c resolvedScenario, r *runner.Runner) ([]*liveClass, error) {
 	var keys runner.KeyEncoder
 	groups := groupByKey(len(c.Nodes), func(buf []byte, i int) ([]byte, bool) {
@@ -94,9 +93,12 @@ func splitByRate(classes []*liveClass, rates []float64, faults []runner.Fault) [
 	out := make([]*liveClass, 0, len(classes))
 	for _, cl := range classes {
 		first := rateFault{rates[cl.members[0]], faultOf(cl.members[0])}
+		// The scan runs over every member of every class each epoch, so it
+		// compares the fields in place rather than building a key per
+		// member.
 		uniform := true
 		for _, m := range cl.members[1:] {
-			if (rateFault{rates[m], faultOf(m)}) != first {
+			if rates[m] != first.rate || (faults != nil && faults[m] != first.fault) {
 				uniform = false
 				break
 			}
@@ -142,10 +144,10 @@ func splitByRate(classes []*liveClass, rates []float64, faults []runner.Fault) [
 	return out
 }
 
-// runControlledEpoch advances every class one epoch at its routed rate
-// and fault. Classes are independent simulations, so the fan-out is
+// runEpoch advances every class one epoch at its routed rate and
+// fault. Classes are independent simulations, so the fan-out is
 // parallel.
-func runControlledEpoch(classes []*liveClass, window sim.Time, r *runner.Runner) error {
+func runEpoch(classes []*liveClass, window sim.Time, r *runner.Runner) error {
 	return r.Each(len(classes), func(ci int) error {
 		cl := classes[ci]
 		next := runner.Interval{Window: window, Rate: cl.rate, Fault: cl.fault}
@@ -157,20 +159,6 @@ func runControlledEpoch(classes []*liveClass, window sim.Time, r *runner.Runner)
 		cl.intervals = append(cl.intervals, next)
 		return nil
 	})
-}
-
-// activeRates partitions the epoch's offered rate across the target-
-// node active prefix with the configured dispatch policy; the tail is
-// routed nothing (and parks, under ParkDrained). The offered rate
-// itself is known to the dispatcher — routing is instantaneous; it is
-// the *capacity* (which nodes are awake) that lags by the controller's
-// decision delay. faults is this epoch's fault row (nil when healthy):
-// crashed nodes are skipped, so the active set is the first target *up*
-// nodes — the dispatcher knows a dead server when it sees one, even if
-// the controller's sizing decision lags. With fewer than target up
-// nodes the whole surviving fleet serves.
-func activeRates(c resolvedScenario, part func(Config) []float64, rate float64, target int, faults []runner.Fault) []float64 {
-	return partitionOver(c, part, rate, activeSet(c, target, faults))
 }
 
 // activeSet returns the active node indices for a controller target:
@@ -218,26 +206,6 @@ func partitionOver(c resolvedScenario, part func(Config) []float64, rate float64
 		rates[i] = sub[j]
 	}
 	return rates
-}
-
-// runControlledReplicas runs the K seeded replicas of every realized
-// class timeline, exactly as the open-loop runClasses does for
-// replicas: replica rep of class ci re-runs the representative's
-// realized spec under seed xrand.ClassReplicaSeed(ci, rep), through the
-// memoized RunTimeline.
-func runControlledReplicas(classes []timelineClass, k int, r *runner.Runner) error {
-	return r.Each(len(classes)*k, func(t int) error {
-		ci, rep := t/k, t%k+1
-		spec := classes[ci].spec
-		spec.Node.Seed = xrand.ClassReplicaSeed(ci, rep)
-		res, err := r.RunTimeline(spec)
-		if err != nil {
-			return fmt.Errorf("cluster: node %d realized timeline (class %d replica %d): %w",
-				classes[ci].rep, ci, rep, err)
-		}
-		classes[ci].results[rep] = res
-		return nil
-	})
 }
 
 // meanCapacityQPS is the fleet's mean per-node capacity — the sizing

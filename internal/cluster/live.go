@@ -21,10 +21,12 @@ import (
 // spawns an independent bit-identical copy, and Snapshot/RestoreLive
 // checkpoint the whole fleet across processes.
 //
-// Determinism contract: a Live stepped to completion produces exactly
-// the ScenarioResult RunScenario returns for the same config (modulo
-// nothing — DeepEqual), and a fork's subsequent timeline is bit-
-// identical to its parent's. Both properties are pinned by tests.
+// Determinism contract: RunScenario is a Live stepped to completion,
+// so stepping one by hand and calling Result returns exactly (DeepEqual)
+// the ScenarioResult RunScenario returns for the same config. A fork's
+// subsequent timeline is bit-identical to its parent's, and an
+// open-loop run's per-node measurements are bit-identical to running
+// each node's own timeline alone. These properties are pinned by tests.
 //
 // A Live is single-goroutine, like the instances it wraps.
 type Live struct {
@@ -65,7 +67,7 @@ func newLive(p scenarioPlan) (*Live, error) {
 		scenarioPlan: p,
 		target:       len(p.c.Nodes), // cold start: everything active until telemetry arrives
 	}
-	l.ctrl = newController(p.c.Controller, l.fleetInfo())
+	l.ctrl = l.makeController()
 	l.replay = l.ctrl == nil
 	l.adm = p.c.newAdmission()
 	var err error
@@ -75,13 +77,19 @@ func newLive(p scenarioPlan) (*Live, error) {
 	return l, nil
 }
 
-func (l *Live) fleetInfo() FleetInfo {
-	return FleetInfo{
+// makeController builds the configured controller, or nil for plan
+// replay. Without a controller it skips the O(nodes) capacity scan
+// that sizes one.
+func (l *Live) makeController() Controller {
+	if !l.c.Controller.enabled() {
+		return nil
+	}
+	return newController(l.c.Controller, FleetInfo{
 		Nodes:      len(l.c.Nodes),
 		PerNodeQPS: meanCapacityQPS(l.c.Nodes),
 		TargetUtil: l.c.Controller.TargetUtil,
 		Epoch:      l.c.Epoch,
-	}
+	})
 }
 
 // Epochs returns the plan length; Epoch the number already completed;
@@ -195,7 +203,7 @@ func (l *Live) step(forcedTarget int, force bool) (FleetTelemetry, error) {
 		saturated: acct.saturated, shedded: acct.shedded, backlogReq: acct.backlogReq,
 	}
 	l.classes = splitByRate(l.classes, rates, frow)
-	if err := runControlledEpoch(l.classes, pw.end-pw.start, l.r); err != nil {
+	if err := runEpoch(l.classes, pw.end-pw.start, l.r); err != nil {
 		return FleetTelemetry{}, err
 	}
 	tel := fleetTelemetry(e, realized, l.classes, l.c.CompactNodes, len(l.c.Nodes))
@@ -209,21 +217,20 @@ func (l *Live) step(forcedTarget int, force bool) (FleetTelemetry, error) {
 	return tel, nil
 }
 
-// Result packages the epochs completed so far exactly as RunScenario
-// would: realized timelines become timeline classes, replicas add
-// seeded error bars, park/restart bookkeeping and phase aggregation run
-// downstream unchanged. A Live stepped to completion returns a result
-// DeepEqual to RunScenario's for the same config.
+// Result packages the epochs completed so far: realized timelines
+// become timeline classes, replicas add seeded error bars, and one
+// fold does the park/restart bookkeeping and the fleet and phase
+// aggregation. RunScenario is this, called once on a Live stepped to
+// completion.
 func (l *Live) Result() (ScenarioResult, error) {
 	if l.epoch == 0 {
 		return ScenarioResult{}, fmt.Errorf("cluster: live scenario has no completed epochs to report")
 	}
 	out := l.c.newResult()
 	realized := l.realized[:l.epoch]
-	// Realized timelines become ordinary timeline classes, ordered like
-	// the open-loop classifier's output (first-member position), so the
-	// open-loop aggregation runs unchanged; that is what lets the oracle
-	// reproduce the open-loop goldens bit-for-bit.
+	// Classes are ordered by first member, the order that fixes each
+	// class's replica seeds and the fold's summation order, whatever
+	// order the splits left them in.
 	classes := append([]*liveClass(nil), l.classes...)
 	sort.Slice(classes, func(i, j int) bool { return classes[i].rep < classes[j].rep })
 	tclasses := make([]timelineClass, len(classes))
@@ -239,15 +246,11 @@ func (l *Live) Result() (ScenarioResult, error) {
 	out.Classes = len(tclasses)
 	out.ReplicaRuns = len(tclasses) * l.c.Replicas
 	if l.c.Replicas > 0 {
-		if err := runControlledReplicas(tclasses, l.c.Replicas, l.r); err != nil {
+		if err := runReplicas(tclasses, l.c.Replicas, l.r); err != nil {
 			return ScenarioResult{}, err
 		}
 	}
-	if l.c.CompactNodes {
-		warmEpochsCompact(l.c, realized, tclasses, &out)
-	} else {
-		warmEpochsExpanded(l.c, realized, tclasses, &out)
-	}
+	foldEpochs(l.c, realized, tclasses, &out)
 	out.CI = scenarioClassCI(tclasses, realized, l.c.Replicas)
 	if l.c.Controller.enabled() {
 		out.Controller = l.c.Controller.displayName()
@@ -311,7 +314,7 @@ func (l *Live) Fork() *Live {
 // (StepTarget) epochs bypassed Observe, so replaying the unforced
 // prefix reproduces the state machine exactly.
 func (l *Live) rebuildController() Controller {
-	ctrl := newController(l.c.Controller, l.fleetInfo())
+	ctrl := l.makeController()
 	if ctrl == nil {
 		return nil
 	}

@@ -54,10 +54,11 @@ func mustResult(t *testing.T, l *Live) ScenarioResult {
 	return res
 }
 
-// TestLiveMatchesRunScenario is the live engine's identity anchor: a
-// Live stepped to completion must return the exact ScenarioResult
-// RunScenario computes for the same config — open-loop, controlled,
-// faulted, compact, and with replica CIs.
+// TestLiveMatchesRunScenario pins that RunScenario is a Live stepped to
+// completion: stepping one by hand and packaging it with Result must
+// return the exact ScenarioResult RunScenario computes for the same
+// config — open-loop, controlled, faulted, compact, and with replica
+// CIs — and the Live must refuse a step past its last epoch.
 func TestLiveMatchesRunScenario(t *testing.T) {
 	cases := []struct {
 		name string

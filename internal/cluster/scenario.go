@@ -20,11 +20,9 @@ import (
 // server.Instance: a single warmup for the whole scenario,
 // engine/C-state/RNG state carried across epoch boundaries, and
 // park/unpark simulated as real drain/deep-idle/exit-latency
-// transitions. Two engines step those timelines, picked by the input:
-// an open-loop run hands each timeline class to the pipelined runner
-// as one independent task, so scenario wall-clock is the slowest class,
-// not the sum of per-epoch maxima; a run with a Controller steps the
-// fleet epoch by epoch through Live.
+// transitions. One engine steps those timelines: a Live advances the
+// fleet epoch by epoch, one warm instance per timeline equivalence
+// class.
 type ScenarioConfig struct {
 	// Nodes are the per-node server configurations (see Config.Nodes).
 	// Each node's RatePerSec/Schedule/Duration are ignored (the epoch
@@ -52,11 +50,10 @@ type ScenarioConfig struct {
 	// Controller selects the fleet autoscaling policy (see
 	// ControllerSpec). The zero value keeps today's open-loop behavior:
 	// the epoch plan is computed once from the schedule and every node
-	// runs its precomputed timeline. A named controller routes the run
-	// through the incremental closed-loop engine instead, where each
+	// runs its precomputed timeline. With a named controller each
 	// epoch's rate partition is decided at run time from the previous
-	// epoch's telemetry (the oracle replays the precomputed plan and so
-	// reproduces the open-loop results bit-for-bit).
+	// epoch's telemetry instead (the oracle replays the precomputed plan
+	// and so reproduces the open-loop results bit-for-bit).
 	Controller ControllerSpec
 	// Faults injects node- and cluster-level faults into the run:
 	// explicit per-node crash/straggler/thermal windows plus a seeded
@@ -312,8 +309,8 @@ func (c ScenarioConfig) Validate() error {
 // epochWindow is one planned re-dispatch interval: its schedule window,
 // mean rate, covering phase, and the per-node rate partition. The plan
 // depends only on the schedule and the dispatch policy — never on
-// simulation results — which is what lets the open-loop engine hand
-// every node its entire timeline up front.
+// simulation results — so an open-loop run replays it epoch by epoch
+// without consulting any telemetry.
 type epochWindow struct {
 	start, end sim.Time
 	rate       float64
@@ -371,8 +368,8 @@ func (c resolvedScenario) fleetConfig(rate float64) Config {
 }
 
 // scenarioPlan is a normalized scenario with its epoch plan built: the
-// shared front half of RunScenario and NewLive, so both engines step
-// the same plan.
+// shared front half of RunScenario and NewLive, so both step the same
+// plan.
 type scenarioPlan struct {
 	c      resolvedScenario
 	part   func(Config) []float64
@@ -413,7 +410,7 @@ func newScenarioPlan(cfg ScenarioConfig) (scenarioPlan, error) {
 }
 
 // newResult returns the result with its configuration echo filled in,
-// ready for an engine to add the epochs.
+// ready for Live.Result to add the epochs.
 func (c resolvedScenario) newResult() ScenarioResult {
 	return ScenarioResult{
 		Schedule:  c.Schedule.Name(),
@@ -426,71 +423,32 @@ func (c resolvedScenario) newResult() ScenarioResult {
 
 // RunScenario simulates the fleet under the time-varying schedule with
 // epoch-stepped re-dispatch: the schedule is partitioned into an epoch
-// plan up front, every node runs its share, park/unpark bookkeeping is
-// applied, and per-epoch, per-phase and whole-run views are aggregated.
-// The input picks the engine: an open-loop run executes each timeline
-// class as one pipelined task (runScenarioWarm); a run with a
-// controller is stepped to completion through Live.
+// plan up front, then a Live is stepped to the end of it and packaged
+// by Live.Result. Open-loop and oracle runs replay the plan's rates;
+// a run with a controller decides each epoch's active set from the
+// previous epoch's telemetry.
 func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 	p, err := newScenarioPlan(cfg)
 	if err != nil {
 		return ScenarioResult{}, err
 	}
-	if p.c.Controller.enabled() {
-		l, err := newLive(p)
-		if err != nil {
-			return ScenarioResult{}, err
-		}
-		for !l.Done() {
-			if _, err := l.Step(); err != nil {
-				return ScenarioResult{}, err
-			}
-		}
-		out, err := l.Result()
-		if err != nil {
-			return ScenarioResult{}, err
-		}
-		// Noted here, once per run, not in Result: awserved calls Result
-		// on every request.
-		p.r.NoteClassDedup(len(p.c.Nodes), out.Classes, out.ReplicaRuns)
-		return out, nil
-	}
-	out := p.c.newResult()
-	if err := runScenarioWarm(p.c, p.plan, p.faults, p.r, &out); err != nil {
+	l, err := newLive(p)
+	if err != nil {
 		return ScenarioResult{}, err
 	}
-	out.finish()
+	for !l.Done() {
+		if _, err := l.Step(); err != nil {
+			return ScenarioResult{}, err
+		}
+	}
+	out, err := l.Result()
+	if err != nil {
+		return ScenarioResult{}, err
+	}
+	// Noted here, once per run, not in Result: awserved calls Result on
+	// every request.
+	p.r.NoteClassDedup(len(p.c.Nodes), out.Classes, out.ReplicaRuns)
 	return out, nil
-}
-
-// runScenarioWarm executes the epoch plan on resumable instances,
-// class-collapsed: the fleet is first grouped into timeline equivalence
-// classes (runner.TimelineKey — bit-identical simulations), then one
-// representative timeline per class plus Replicas seeded replicas run
-// as independent pipelined runner tasks, and a per-epoch pass expands
-// the class measurements back into the fleet by multiplicity for
-// park/unpark bookkeeping and aggregation. Collapse is exact by
-// construction — members of a class are the *same* simulation — so a
-// fleet of singleton classes (distinct seeds, or a deliberately
-// heterogeneous fleet) reproduces the pre-collapse path bit-for-bit.
-// Unpark costs are simulated — drained requests, deep-idle residency,
-// real exit latencies — so no synthetic penalty is folded in and
-// EpochResult.UnparkEnergyJ stays zero.
-func runScenarioWarm(c resolvedScenario, plan []epochWindow, faults [][]runner.Fault, r *runner.Runner, out *ScenarioResult) error {
-	classes := classifyTimelines(c, plan, faults)
-	out.Classes = len(classes)
-	out.ReplicaRuns = len(classes) * c.Replicas
-	r.NoteClassDedup(len(c.Nodes), len(classes), out.ReplicaRuns)
-	if err := runClasses(classes, c.Replicas, r); err != nil {
-		return err
-	}
-	if c.CompactNodes {
-		warmEpochsCompact(c, plan, classes, out)
-	} else {
-		warmEpochsExpanded(c, plan, classes, out)
-	}
-	out.CI = scenarioClassCI(classes, plan, c.Replicas)
-	return nil
 }
 
 // newEpochResult seeds an epoch's result from its window, carrying the
@@ -506,66 +464,44 @@ func newEpochResult(e int, pw epochWindow) EpochResult {
 	return ep
 }
 
-// warmEpochsExpanded materializes every node's NodeResult from its
-// class representative — the full-detail default, bit-identical to the
-// historical per-node path.
-func warmEpochsExpanded(c resolvedScenario, plan []epochWindow, classes []timelineClass, out *ScenarioResult) {
-	classOf := make([]int, len(c.Nodes))
-	for ci := range classes {
-		for _, i := range classes[ci].members {
-			classOf[i] = ci
-		}
-	}
-	parked := make([]bool, len(c.Nodes))
-	for e, pw := range plan {
-		ep := newEpochResult(e, pw)
-		nodes := make([]NodeResult, len(c.Nodes))
-		for i := range c.Nodes {
-			iv := classes[classOf[i]].results[0][e]
-			nodes[i] = NodeResult{Node: i, RateQPS: pw.rates[i], Parked: iv.Parked, Result: iv.Result}
-			if iv.Parked {
-				ep.Parked++
-			}
-			if iv.Down {
-				ep.Down++
-			}
-			if iv.Restarted {
-				ep.Restarted++
-			}
-			if parked[i] && pw.rates[i] > 0 {
-				ep.Unparked++
-			}
-			parked[i] = iv.Parked
-		}
-		ep.Fleet = aggregate(c.fleetConfig(pw.rate), nodes)
-		applyRestartPenalty(c, &ep, pw.end-pw.start)
-		ep.CI = epochClassCI(classes, e, c.Replicas)
-		out.Epochs = append(out.Epochs, ep)
-		out.ParkedTimeline = append(out.ParkedTimeline, ep.Parked)
-		out.Unparks += ep.Unparked
-		out.Restarts += ep.Restarted
-	}
-}
-
-// warmEpochsCompact skips per-node materialization entirely: park
-// bookkeeping and fleet aggregation run class-weighted in O(classes)
-// per epoch, and EpochResult.Fleet.Nodes stays nil. This is what makes
-// a 100K-node fleet a few-classes problem instead of a 2.4M-NodeResult
-// problem. Every class member shares its representative's rate and park
-// state by construction (both are part of the class key), so the
-// weighted counts are exact, not approximations.
-func warmEpochsCompact(c resolvedScenario, plan []epochWindow, classes []timelineClass, out *ScenarioResult) {
+// foldEpochs aggregates each epoch of the realized plan from the class
+// measurements and appends it to out with its park, unpark, crash and
+// restart bookkeeping. Every member of a class shares its
+// representative's rate and park state in every epoch (both are part
+// of what makes a class), so the counts are taken per class, weighted
+// by class size, and are exact. The aggregation runs either over every
+// node in fleet order, each carrying its class's measurement (the
+// full-detail default), or with CompactNodes over one weighted entry
+// per class, in O(classes) per epoch with EpochResult.Fleet.Nodes left
+// nil — what makes a 100K-node fleet a few-classes problem.
+func foldEpochs(c resolvedScenario, plan []epochWindow, classes []timelineClass, out *ScenarioResult) {
 	parked := make([]bool, len(classes))
+	var mults []int
+	if c.CompactNodes {
+		mults = make([]int, len(classes))
+		for ci := range classes {
+			mults[ci] = len(classes[ci].members)
+		}
+	}
 	for e, pw := range plan {
 		ep := newEpochResult(e, pw)
-		reps := make([]NodeResult, len(classes))
-		mults := make([]int, len(classes))
+		var nodes []NodeResult
+		if c.CompactNodes {
+			nodes = make([]NodeResult, len(classes))
+		} else {
+			nodes = make([]NodeResult, len(c.Nodes))
+		}
 		for ci := range classes {
 			cl := &classes[ci]
 			iv := cl.results[0][e]
 			m := len(cl.members)
-			reps[ci] = NodeResult{Node: cl.rep, RateQPS: pw.rates[cl.rep], Parked: iv.Parked, Result: iv.Result}
-			mults[ci] = m
+			if c.CompactNodes {
+				nodes[ci] = NodeResult{Node: cl.rep, RateQPS: pw.rates[cl.rep], Parked: iv.Parked, Result: iv.Result}
+			} else {
+				for _, i := range cl.members {
+					nodes[i] = NodeResult{Node: i, RateQPS: pw.rates[i], Parked: iv.Parked, Result: iv.Result}
+				}
+			}
 			if iv.Parked {
 				ep.Parked += m
 			}
@@ -580,7 +516,7 @@ func warmEpochsCompact(c resolvedScenario, plan []epochWindow, classes []timelin
 			}
 			parked[ci] = iv.Parked
 		}
-		ep.Fleet = aggregateWeighted(c.fleetConfig(pw.rate), reps, mults)
+		ep.Fleet = aggregateWeighted(c.fleetConfig(pw.rate), nodes, mults)
 		applyRestartPenalty(c, &ep, pw.end-pw.start)
 		ep.CI = epochClassCI(classes, e, c.Replicas)
 		out.Epochs = append(out.Epochs, ep)

@@ -13,8 +13,8 @@ import (
 
 // benchScenarioCfg is the BenchmarkRunScenario configuration: the
 // default diurnal day over a 64-node consolidate fleet, stepped in 24
-// epochs. Each node pays the 10ms warmup once and runs its whole
-// timeline as one pipelined task. Each iteration uses a fresh private
+// epochs. Each node pays the 10ms warmup once and carries its warm
+// instance across the epochs. Each iteration uses a fresh private
 // Runner so memoization never short-circuits the measurement.
 func benchScenarioCfg(r *runner.Runner) ScenarioConfig {
 	template := server.Config{
@@ -39,8 +39,9 @@ func benchScenarioCfg(r *runner.Runner) ScenarioConfig {
 	}
 }
 
-// BenchmarkRunScenarioWarm measures the open-loop engine on the
-// default diurnal 64-node configuration.
+// BenchmarkRunScenarioWarm measures an open-loop run, the scenario
+// engine replaying its plan, on the default diurnal 64-node
+// configuration.
 func BenchmarkRunScenarioWarm(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -51,12 +52,11 @@ func BenchmarkRunScenarioWarm(b *testing.B) {
 	}
 }
 
-// BenchmarkRunScenarioWarmReactive measures the closed-loop engine
-// (Live) on the same configuration as BenchmarkRunScenarioWarm, with the
-// reactive controller in the loop: per-epoch telemetry aggregation,
-// controller evaluation, and live-class rate-divergence splits on top of
-// the node simulations. The delta against BenchmarkRunScenarioWarm is the
-// control plane's overhead.
+// BenchmarkRunScenarioWarmReactive measures a closed-loop run on the
+// same configuration as BenchmarkRunScenarioWarm, with the reactive
+// controller in the loop: controller evaluation and the splits its
+// decisions cause on top of the node simulations. The delta against
+// BenchmarkRunScenarioWarm is the control plane's overhead.
 func BenchmarkRunScenarioWarmReactive(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -141,22 +141,22 @@ func BenchmarkNewLive(b *testing.B) {
 	})
 }
 
-// BenchmarkClassifyTimelines measures the timeline-class pass alone on
-// BenchmarkRunScenario100K's 100K-node day: shared seeds (one class, so
+// BenchmarkGroupByKey measures the fleet keying pass a Live starts
+// from (groupByKey over KeyEncoder.AppendKey) at
+// BenchmarkRunScenario100K's 100K nodes: shared seeds (one class, so
 // the cost is per-node key encoding and map hits) and distinct seeds
-// (100K singleton classes, each paying its own map slot and interval
-// list).
-func BenchmarkClassifyTimelines(b *testing.B) {
+// (100K singleton classes, each paying its own map slot).
+func BenchmarkGroupByKey(b *testing.B) {
 	for _, tc := range []struct {
 		name   string
 		shared bool
 	}{{"shared-100K", true}, {"distinct-100K", false}} {
 		b.Run(tc.name, func(b *testing.B) {
-			c, plan := classifyFixture(b, 100_000, tc.shared)
+			nodes := classifyFleet(100_000, tc.shared)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				classifyTimelines(c, plan, nil)
+				groupFleet(nodes)
 			}
 		})
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cstate"
+	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 )
@@ -142,5 +143,95 @@ func TestScenarioNodeFailureShortCircuits(t *testing.T) {
 	_, err := RunScenario(ScenarioConfig{Nodes: nodes, Schedule: sched, Epoch: 10 * sim.Millisecond})
 	if err == nil {
 		t.Fatal("broken node accepted")
+	}
+}
+
+// TestOpenLoopMatchesPerNodeTimelines checks open-loop runs against a
+// reference that shares no code with the class machinery: every node's
+// own un-collapsed timeline, built from the plan's rates and fault
+// rows and run alone on a fresh runner. Each epoch's expanded node
+// result must equal that reference bit for bit, whatever classes the
+// run collapsed the node into and however those split mid-run. The
+// fleets cover distinct seeds, shared seeds that split under
+// consolidation and parking, a crash and a straggler among shared
+// seeds (the straggler differs from its class mates only by its fault),
+// and overload shedding.
+func TestOpenLoopMatchesPerNodeTimelines(t *testing.T) {
+	node := quickNode(0)
+	node.Warmup = 5 * sim.Millisecond
+	total := 120 * sim.Millisecond
+	diurnal := mustSchedule(scenario.Diurnal(2e6, 0.6, total, 6))
+	cases := []struct {
+		name string
+		cfg  ScenarioConfig
+		// minClasses and maxClasses bound the collapse, so each fleet
+		// exercises the shape it is named for.
+		minClasses, maxClasses int
+	}{
+		{"spread-distinct-seeds", ScenarioConfig{
+			Nodes: Homogeneous(4, node), Schedule: diurnal, Epoch: total / 6,
+			Dispatch: DispatchSpread,
+		}, 4, 4},
+		{"consolidate-park-shared-seeds", ScenarioConfig{
+			Nodes: sharedFleet(8, node), Schedule: diurnal, Epoch: total / 6,
+			Dispatch: DispatchConsolidate, ParkDrained: true,
+		}, 2, 7},
+		{"crash-straggler-shared-seeds", ScenarioConfig{
+			Nodes: sharedFleet(4, node), Schedule: diurnal, Epoch: total / 6,
+			Dispatch: DispatchSpread, ParkDrained: true,
+			Faults: FaultSpec{Nodes: []NodeFault{
+				{Node: 1, Kind: FaultCrash, Start: 40 * sim.Millisecond, End: 80 * sim.Millisecond},
+				{Node: 2, Kind: FaultStraggler, Start: 20 * sim.Millisecond, End: 60 * sim.Millisecond, Factor: 3},
+			}},
+		}, 3, 3},
+		{"overload-shed", ScenarioConfig{
+			Nodes:    Homogeneous(4, node),
+			Schedule: mustSchedule(scenario.Spike(4e6, 5, 80*sim.Millisecond, 20*sim.Millisecond, 40*sim.Millisecond)),
+			Epoch:    20 * sim.Millisecond, Dispatch: DispatchConsolidate, ParkDrained: true,
+			Overload: OverloadSpec{Policy: OverloadShed},
+		}, 4, 4},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			res := runScenario(t, tc.cfg)
+			if res.Classes < tc.minClasses || res.Classes > tc.maxClasses {
+				t.Fatalf("%d classes, want %d..%d", res.Classes, tc.minClasses, tc.maxClasses)
+			}
+			p, err := newScenarioPlan(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Epochs) != len(p.plan) {
+				t.Fatalf("%d epochs, plan has %d", len(res.Epochs), len(p.plan))
+			}
+			if tc.cfg.Overload.Policy != "" && res.SaturatedEpochs == 0 {
+				t.Fatal("overload fixture never saturated")
+			}
+			for i := range tc.cfg.Nodes {
+				spec := runner.TimelineSpec{Node: tc.cfg.Nodes[i], Park: tc.cfg.ParkDrained}
+				for e, pw := range p.plan {
+					iv := runner.Interval{Window: pw.end - pw.start, Rate: pw.rates[i]}
+					if p.faults != nil {
+						iv.Fault = p.faults[e][i]
+					}
+					spec.Intervals = append(spec.Intervals, iv)
+				}
+				want, err := runner.New(0).RunTimeline(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for e, ep := range res.Epochs {
+					got := ep.Fleet.Nodes[i]
+					if got.Node != i || got.RateQPS != spec.Intervals[e].Rate || got.Parked != want[e].Parked {
+						t.Fatalf("epoch %d node %d: node/rate/parked %d/%g/%v, want %d/%g/%v",
+							e, i, got.Node, got.RateQPS, got.Parked, i, spec.Intervals[e].Rate, want[e].Parked)
+					}
+					if !reflect.DeepEqual(got.Result, want[e].Result) {
+						t.Fatalf("epoch %d node %d diverged from its own timeline run alone\n got %+v\nwant %+v",
+							e, i, got.Result, want[e].Result)
+					}
+				}
+			}
+		})
 	}
 }

@@ -177,15 +177,15 @@ func appendKey(buf []byte, cfg *server.Config, fingerprint []byte) ([]byte, bool
 	return e.Buf, true
 }
 
-// KeyEncoder appends the keys AppendKey and AppendTimelineKey append,
-// byte for byte, for a pass over many configs: it remembers the last
-// profile it fingerprinted and reuses that text while the configs it
-// is handed share the profile value (workload.SameFingerprint), so a
-// fleet pays the fingerprint formatting once per run of equal
-// profiles, not once per node. The zero value is ready to use; use one
-// per pass, from one goroutine. A *MMPP2 arrival process compares by
-// identity, so its modulation state must not change while the encoder
-// is in use: key, then simulate.
+// KeyEncoder appends the keys AppendKey appends, byte for byte, for a
+// pass over many configs: it remembers the last profile it
+// fingerprinted and reuses that text while the configs it is handed
+// share the profile value (workload.SameFingerprint), so a fleet pays
+// the fingerprint formatting once per run of equal profiles, not once
+// per node. The zero value is ready to use; use one per pass, from one
+// goroutine. A *MMPP2 arrival process compares by identity, so its
+// modulation state must not change while the encoder is in use: key,
+// then simulate.
 type KeyEncoder struct {
 	prof workload.Profile
 	fp   []byte // prof's fingerprint text; nil until one is formatted
@@ -201,17 +201,6 @@ func (k *KeyEncoder) AppendKey(buf []byte, cfg *server.Config) ([]byte, bool) {
 		k.prof, k.fp = cfg.Profile, fp
 	}
 	return appendKey(buf, cfg, k.fp)
-}
-
-// AppendTimelineKey is AppendTimelineKey for the timeline of *node
-// under park and intervals, taken apart so a pass need not build a
-// TimelineSpec per node.
-func (k *KeyEncoder) AppendTimelineKey(buf []byte, node *server.Config, park bool, intervals []Interval) ([]byte, bool) {
-	buf, ok := k.AppendKey(buf, node)
-	if !ok {
-		return buf, false
-	}
-	return appendTimeline(buf, park, intervals), true
 }
 
 // Key is AppendKey into a fresh string.
@@ -262,23 +251,17 @@ type TimelineSpec struct {
 // is cacheable. A timeline is a pure function of these: all randomness
 // still derives from Node.Seed, and the interval windows and rates
 // fully determine the piecewise-constant offered load. Beyond
-// memoization, the key is the cluster layer's timeline-equivalence-class
-// fingerprint: two nodes with equal keys are bit-identical simulations,
-// so one representative run can stand for all of them.
+// memoization, the key states the cluster layer's timeline equivalence:
+// two nodes with equal keys are bit-identical simulations, so one
+// representative run can stand for all of them.
 func AppendTimelineKey(buf []byte, spec TimelineSpec) ([]byte, bool) {
 	buf, ok := AppendKey(buf, spec.Node)
 	if !ok {
 		return buf, false
 	}
-	return appendTimeline(buf, spec.Park, spec.Intervals), true
-}
-
-// appendTimeline appends the park flag and interval list of a timeline
-// key.
-func appendTimeline(buf []byte, park bool, intervals []Interval) []byte {
 	e := snapbuf.Encoder{Buf: buf}
-	e.Bool(park)
-	for _, iv := range intervals {
+	e.Bool(spec.Park)
+	for _, iv := range spec.Intervals {
 		e.I64(int64(iv.Window))
 		e.F64(iv.Rate)
 		// A healthy interval carries a 0 marker and a faulted one a 1 plus
@@ -293,7 +276,7 @@ func appendTimeline(buf []byte, park bool, intervals []Interval) []byte {
 			e.F64(f.TurboCap)
 		}
 	}
-	return e.Buf
+	return e.Buf, true
 }
 
 // TimelineKey is AppendTimelineKey into a fresh string.
@@ -327,7 +310,7 @@ func (r *Runner) RunTimeline(spec TimelineSpec) ([]server.IntervalResult, error)
 
 // runTimeline is the uncached timeline execution: a TimelineCursor
 // stepped through every interval, so crash/rebuild and fault
-// installation behave identically here and in the closed-loop engine.
+// installation behave identically here and in the scenario engine.
 func runTimeline(spec TimelineSpec) ([]server.IntervalResult, error) {
 	tc, err := NewCursor(spec.Node, spec.Park)
 	if err != nil {

@@ -9,25 +9,15 @@ import (
 // keySink keeps benchmarked key results live.
 var keySink string
 
-// BenchmarkTimelineKey measures class and memo keying of one node's
-// 24-interval day (BenchmarkRunScenario100K's epoch count): "encoder"
-// keys through one reused KeyEncoder and buffer as the cluster
-// classifier does, so the profile's fingerprint text is formatted once;
-// "append" is the one-shot AppendTimelineKey into a reused buffer, and
-// "string" the standalone TimelineKey.
+// BenchmarkTimelineKey measures memo keying of one node's 24-interval
+// day (BenchmarkRunScenario100K's epoch count), the key every replica
+// timeline pays: "append" is the one-shot AppendTimelineKey into a
+// reused buffer, and "string" the standalone TimelineKey.
 func BenchmarkTimelineKey(b *testing.B) {
 	spec := TimelineSpec{Node: quickCfg(), Park: true, Intervals: make([]Interval, 24)}
 	for i := range spec.Intervals {
 		spec.Intervals[i] = Interval{Window: 2 * sim.Millisecond, Rate: float64(i+1) * 10e3}
 	}
-	b.Run("encoder", func(b *testing.B) {
-		b.ReportAllocs()
-		var keys KeyEncoder
-		var buf []byte
-		for i := 0; i < b.N; i++ {
-			buf, _ = keys.AppendTimelineKey(buf[:0], &spec.Node, spec.Park, spec.Intervals)
-		}
-	})
 	b.Run("append", func(b *testing.B) {
 		b.ReportAllocs()
 		var buf []byte

@@ -320,10 +320,10 @@ func TestClassStatsAccumulate(t *testing.T) {
 	}
 }
 
-// TestKeyEncoderMatchesOneShot pins the classifiers' reusing encoder to
-// the one-shot keys: over a mixed fleet, one KeyEncoder handed every
-// node in turn appends exactly AppendKey's and AppendTimelineKey's
-// bytes, and refuses exactly the nodes they refuse. The fleet switches
+// TestKeyEncoderMatchesOneShot pins the fleet keying pass's reusing
+// encoder to the one-shot key: over a mixed fleet, one KeyEncoder handed
+// every node in turn appends exactly AppendKey's bytes, and refuses
+// exactly the nodes it refuses. The fleet switches
 // profile at every node, repeats a profile back to back, carries two
 // distinct *MMPP2 with equal parameters and a pair of profiles that
 // differ only in the sign of a zero (== but printed apart), and mixes
@@ -350,21 +350,15 @@ func TestKeyEncoderMatchesOneShot(t *testing.T) {
 	custom := quickCfg()
 	custom.Catalog = cstate.Skylake()
 	fleet = append(fleet, custom, quickCfg())
-	intervals := timelineSpec().Intervals
 
 	var keys KeyEncoder
 	var buf []byte
 	for i := range fleet {
 		want, wantOK := AppendKey([]byte("prefix"), fleet[i])
-		got, gotOK := keys.AppendKey(append(buf[:0], "prefix"...), &fleet[i])
-		if gotOK != wantOK || !bytes.Equal(got, want) {
-			t.Errorf("node %d (%s): encoder key %v/%x, one-shot %v/%x", i, fleet[i].Profile.Name, gotOK, got, wantOK, want)
-		}
-		spec := TimelineSpec{Node: fleet[i], Park: i%2 == 0, Intervals: intervals}
-		want, wantOK = AppendTimelineKey(nil, spec)
-		buf, gotOK = keys.AppendTimelineKey(buf[:0], &fleet[i], spec.Park, intervals)
+		var gotOK bool
+		buf, gotOK = keys.AppendKey(append(buf[:0], "prefix"...), &fleet[i])
 		if gotOK != wantOK || !bytes.Equal(buf, want) {
-			t.Errorf("node %d (%s): encoder timeline key %v/%x, one-shot %v/%x", i, fleet[i].Profile.Name, gotOK, buf, wantOK, want)
+			t.Errorf("node %d (%s): encoder key %v/%x, one-shot %v/%x", i, fleet[i].Profile.Name, gotOK, buf, wantOK, want)
 		}
 		if refuse := fleet[i].Profile.Name == etc.Name || fleet[i].Catalog != nil; wantOK == refuse {
 			t.Errorf("node %d (%s): cacheable = %v", i, fleet[i].Profile.Name, wantOK)

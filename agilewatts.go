@@ -377,8 +377,8 @@ type (
 )
 
 // Built-in fleet controller names accepted by ControllerSpec.Name:
-// oracle replays the precomputed epoch plan (bit-for-bit the open-loop
-// result), reactive follows measured utilization with a hysteresis
+// oracle makes no decision and routes every epoch across the whole up
+// fleet (bit-for-bit the open-loop result), reactive follows measured utilization with a hysteresis
 // deadband and cooldown, predictive forecasts the offered rate with the
 // menu governor's EWMA machinery at fleet granularity.
 const (

@@ -25,7 +25,8 @@
 //
 // -controller routes both fleets through a closed-loop controller
 // (oracle, reactive or predictive) that sizes the active set from live
-// telemetry instead of the precomputed plan; -ctrl-up, -ctrl-down and
+// telemetry instead of routing every epoch across the whole fleet (the
+// oracle keeps the whole fleet); -ctrl-up, -ctrl-down and
 // -ctrl-cooldown tune the reactive hysteresis. The scenario experiment
 // always appends the oracle-vs-reactive-vs-predictive comparison table:
 //

@@ -10,11 +10,12 @@ import (
 
 // Controller names accepted by ControllerSpec.Name.
 const (
-	// ControllerOracle replays the precomputed epoch plan: every decision
-	// is the schedule-derived partition the open-loop path would have
-	// used, so an oracle run reproduces the open-loop results bit-for-bit
-	// while exercising the full closed-loop machinery. It is the
-	// never-wrong upper bound the paper's evaluation implicitly assumes.
+	// ControllerOracle makes no decision: every epoch routes the
+	// schedule's rate across the whole up fleet, exactly as the
+	// open-loop path does, so an oracle run reproduces the open-loop
+	// results bit-for-bit while reporting each epoch's routed node count
+	// as its target. It is the never-wrong upper bound the paper's
+	// evaluation implicitly assumes.
 	ControllerOracle = "oracle"
 	// ControllerReactive sizes the fleet from measured utilization:
 	// outside the [DownUtil, UpUtil] deadband it retargets toward
@@ -135,8 +136,9 @@ func clampTarget(want, nodes int) int {
 }
 
 // newController instantiates the spec's policy for a fleet. The oracle
-// returns nil: it has no decisions to make — the engine replays the
-// precomputed plan verbatim (which is the whole point of the oracle).
+// returns nil: it has no decisions to make — the engine routes every
+// epoch across the whole up fleet (which is the whole point of the
+// oracle).
 func newController(s ControllerSpec, info FleetInfo) Controller {
 	if s.New != nil {
 		return s.New(info)

@@ -24,8 +24,8 @@ func stripControllerFields(r ScenarioResult) ScenarioResult {
 }
 
 // TestOracleControllerMatchesOpenLoopBitForBit pins that the oracle
-// controller is the open-loop run plus its controller echo: both replay
-// the precomputed plan verbatim, so in every mode (expanded, compact,
+// controller is the open-loop run plus its controller echo: both route
+// every epoch across the whole up fleet, so in every mode (expanded, compact,
 // with replica CIs) the results differ only in Controller and
 // TargetNodes. TestOpenLoopMatchesPerNodeTimelines checks the open-loop
 // run itself against each node's timeline run alone.
@@ -215,8 +215,8 @@ func TestReactiveCooldownNeverFlipsWithinWindow(t *testing.T) {
 // TestReactiveConstantScheduleConvergesToOracle pins the reactive
 // controller's steady state: under a constant offered rate the fleet it
 // settles on carries the load with exactly as many active nodes as the
-// oracle's precomputed consolidation — the feedback loop finds the plan
-// when there is nothing to react to.
+// oracle's whole-fleet consolidation routes load to — the feedback loop
+// finds the oracle's active count when there is nothing to react to.
 func TestReactiveConstantScheduleConvergesToOracle(t *testing.T) {
 	node := quickNode(0)
 	node.Warmup = 5 * sim.Millisecond

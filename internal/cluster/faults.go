@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/runner"
-	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/xrand"
 )
@@ -226,44 +225,6 @@ func (c resolvedScenario) faultPlan(plan []epochWindow) [][]runner.Fault {
 		}
 	}
 	return faults
-}
-
-// applyFaultRates re-partitions each epoch's offered rate across the
-// nodes that are up: a crashed node serves nothing, so its share is
-// redistributed over the survivors by the same dispatch policy the
-// healthy plan used. An all-down epoch routes nothing — the offered
-// load is simply lost, which is exactly the outage a controller should
-// be observing. Epochs with every node up keep their original partition
-// untouched (bit-for-bit).
-func applyFaultRates(c resolvedScenario, part func(Config) []float64, plan []epochWindow, faults [][]runner.Fault) {
-	for e := range plan {
-		var up []int
-		for i := range c.Nodes {
-			if !faults[e][i].Down {
-				up = append(up, i)
-			}
-		}
-		if len(up) == len(c.Nodes) {
-			continue
-		}
-		rates := make([]float64, len(c.Nodes))
-		if len(up) > 0 {
-			upNodes := make([]server.Config, len(up))
-			for j, i := range up {
-				upNodes[j] = c.Nodes[i]
-			}
-			sub := part(Config{
-				Nodes:      upNodes,
-				RateQPS:    plan[e].rate,
-				Dispatch:   c.Dispatch,
-				TargetUtil: c.TargetUtil,
-			})
-			for j, i := range up {
-				rates[i] = sub[j]
-			}
-		}
-		plan[e].rates = rates
-	}
 }
 
 // applyRestartPenalty folds the synthetic restart cost into a restart

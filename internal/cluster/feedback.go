@@ -9,15 +9,16 @@ import (
 )
 
 // liveClass is one timeline equivalence class of a Live run, grown
-// epoch by epoch. Under a controller the epoch plan is not static —
-// each epoch's rate partition depends on the previous epoch's realized
-// telemetry — so classes cannot be fixed up front from the schedule.
-// Instead the fleet starts collapsed by base node key (nodes that are
-// bit-identical simulations before any load arrives) and a class
-// splits the first epoch its members are routed different rates or
-// faults. Members whose timelines stay identical stay collapsed for the
-// whole run. An open-loop run splits on the plan's rates, so its
-// classes end up exactly the fleet's full-timeline equivalence classes.
+// epoch by epoch. Each epoch's rate partition is decided when the epoch
+// is stepped — under a controller from the previous epoch's telemetry,
+// under admission control from the backlog carried so far — so classes
+// cannot be fixed up front from the schedule. Instead the fleet starts
+// collapsed by base node key (nodes that are bit-identical simulations
+// before any load arrives) and a class splits the first epoch its
+// members are routed different rates or faults. Members whose
+// timelines stay identical stay collapsed for the whole run, so the
+// final classes are exactly the fleet's full-timeline equivalence
+// classes.
 type liveClass struct {
 	// rep is the representative: the class's first member node index.
 	rep int
@@ -161,33 +162,16 @@ func runEpoch(classes []*liveClass, window sim.Time, r *runner.Runner) error {
 	})
 }
 
-// activeSet returns the active node indices for a controller target:
-// the first target up nodes in fleet order (crashed nodes skipped).
-// With fewer than target up nodes the whole surviving fleet serves.
-func activeSet(c resolvedScenario, target int, faults []runner.Fault) []int {
-	up := make([]int, 0, target)
-	for i := range c.Nodes {
-		if faults != nil && faults[i].Down {
-			continue
-		}
-		up = append(up, i)
-		if len(up) == target {
-			break
-		}
-	}
-	return up
-}
-
 // partitionOver routes rate across the given active set with the
 // configured dispatch policy, expanded back to fleet order; nodes
 // outside the set are routed nothing. An empty set routes nothing at
 // all — the whole fleet is dark. up is in fleet order, so when it is a
 // prefix of the fleet (no node down) the policy reads the fleet's own
-// configs instead of copies.
+// configs instead of copies, and when it is the whole fleet the
+// policy's own slice is the result.
 func partitionOver(c resolvedScenario, part func(Config) []float64, rate float64, up []int) []float64 {
-	rates := make([]float64, len(c.Nodes))
 	if len(up) == 0 {
-		return rates
+		return make([]float64, len(c.Nodes))
 	}
 	upNodes := c.Nodes[:len(up)]
 	if up[len(up)-1] != len(up)-1 {
@@ -202,6 +186,10 @@ func partitionOver(c resolvedScenario, part func(Config) []float64, rate float64
 		Dispatch:   c.Dispatch,
 		TargetUtil: c.TargetUtil,
 	})
+	if len(up) == len(c.Nodes) {
+		return sub
+	}
+	rates := make([]float64, len(c.Nodes))
 	for j, i := range up {
 		rates[i] = sub[j]
 	}

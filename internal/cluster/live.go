@@ -31,15 +31,13 @@ import (
 // A Live is single-goroutine, like the instances it wraps.
 type Live struct {
 	scenarioPlan
-	// replay marks plan-replay mode: open-loop configs and the oracle
-	// controller take each epoch's rates from the precomputed plan;
-	// otherwise ctrl decides each unforced epoch's target.
-	replay bool
-	ctrl   Controller
+	// ctrl decides each unforced epoch's target; nil for open-loop and
+	// oracle runs, which route across the whole up fleet.
+	ctrl Controller
 	// adm is the run-time admission state (nil when overload control is
-	// disabled): forced and controller-decided epochs admit against the
-	// active set at step time; replayed epochs re-sync it to the plan's
-	// precomputed accounts.
+	// disabled): every epoch admits against its active set at step time,
+	// and the queue policy's backlog carries across forced and unforced
+	// epochs alike.
 	adm *admission
 
 	classes  []*liveClass
@@ -47,7 +45,6 @@ type Live struct {
 	targets  []int
 	forced   []bool
 	tels     []FleetTelemetry
-	target   int
 	epoch    int
 }
 
@@ -58,28 +55,17 @@ func NewLive(cfg ScenarioConfig) (*Live, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newLive(p)
-}
-
-// newLive builds the steppable fleet on an already-built plan.
-func newLive(p scenarioPlan) (*Live, error) {
-	l := &Live{
-		scenarioPlan: p,
-		target:       len(p.c.Nodes), // cold start: everything active until telemetry arrives
-	}
+	l := &Live{scenarioPlan: p, adm: p.c.newAdmission()}
 	l.ctrl = l.makeController()
-	l.replay = l.ctrl == nil
-	l.adm = p.c.newAdmission()
-	var err error
 	if l.classes, err = initialLiveClasses(p.c, p.r); err != nil {
 		return nil, err
 	}
 	return l, nil
 }
 
-// makeController builds the configured controller, or nil for plan
-// replay. Without a controller it skips the O(nodes) capacity scan
-// that sizes one.
+// makeController builds the configured controller, or nil for
+// open-loop and oracle runs. Without a controller it skips the O(nodes)
+// capacity scan that sizes one.
 func (l *Live) makeController() Controller {
 	if !l.c.Controller.enabled() {
 		return nil
@@ -126,12 +112,13 @@ func (l *Live) History() []FleetTelemetry {
 	return out
 }
 
-// Step advances the fleet one epoch: the controller (or the plan, in
-// replay mode) decides the active set, the dispatcher routes the
-// epoch's offered rate, every class simulates its window, and the
-// boundary telemetry is folded and returned. The controller decides
-// against the *finished* epoch's telemetry: one full epoch of lag, the
-// honest feedback regime.
+// Step advances the fleet one epoch: the controller (or, open-loop and
+// under the oracle, the whole fleet) decides the active set, admission
+// control clips the epoch's demand to that set's capacity, the
+// dispatcher routes the admitted rate across it, every class simulates
+// its window, and the boundary telemetry is folded and returned. The
+// controller decides against the *finished* epoch's telemetry: one full
+// epoch of lag, the honest feedback regime.
 func (l *Live) Step() (FleetTelemetry, error) {
 	return l.step(0, false)
 }
@@ -151,70 +138,72 @@ func (l *Live) step(forcedTarget int, force bool) (FleetTelemetry, error) {
 		return FleetTelemetry{}, fmt.Errorf("cluster: live scenario finished (all %d epochs stepped)", len(l.plan))
 	}
 	e := l.epoch
-	pw := l.plan[e]
+	realized := l.plan[e]
 	var frow []runner.Fault
 	if l.faults != nil {
 		frow = l.faults[e]
 	}
-	target := l.target
-	var rates []float64
-	var acct overloadAccount
-	// Run-time admission: the active set is the capacity the policy
-	// admits against, so a consolidated fleet saturates before a fully
-	// unparked one would.
-	admitted := func(up []int) []float64 {
-		route := pw.rate
-		if l.adm != nil {
-			winSec := float64(pw.end-pw.start) / 1e9
-			route, acct = l.adm.admit(pw.rate, l.c.overloadCapacity(up), winSec)
-		}
-		return partitionOver(l.c, l.part, route, up)
-	}
+	n := len(l.c.Nodes)
+	target := n // cold start: everything active until telemetry arrives
 	switch {
 	case force:
-		target = clampTarget(forcedTarget, len(l.c.Nodes))
-		rates = admitted(activeSet(l.c, target, frow))
-	case l.replay:
-		// The plan's rates are already fault- and admission-adjusted
-		// (crashed nodes carry zero; clipped epochs their admitted
-		// partition), so the replay reuses the planned rates and
-		// accounts, re-syncing the backlog so a later forced step
-		// carries it forward from the plan's state.
-		rates = pw.rates
-		acct = pw.account()
-		if l.adm != nil {
-			l.adm.backlog = pw.backlogReq
-		}
+		target = clampTarget(forcedTarget, n)
+	case l.ctrl != nil && e > 0:
+		target = clampTarget(l.ctrl.Observe(l.tels[e-1]), n)
+	}
+	up := l.activeSet(target, frow)
+	// The active set is the capacity the policy admits against, so a
+	// consolidated fleet saturates before a fully unparked one would.
+	route := realized.rate
+	if l.adm != nil {
+		winSec := float64(realized.end-realized.start) / 1e9
+		route, realized.overloadAccount = l.adm.admit(realized.rate, l.c.overloadCapacity(up), winSec)
+	}
+	rates := partitionOver(l.c, l.part, route, up)
+	if l.ctrl == nil && !force {
+		// Open-loop and oracle epochs report the nodes they routed load to.
 		target = 0
 		for _, rt := range rates {
 			if rt > 0 {
 				target++
 			}
 		}
-	default:
-		if e > 0 {
-			target = clampTarget(l.ctrl.Observe(l.tels[e-1]), len(l.c.Nodes))
-		}
-		rates = admitted(activeSet(l.c, target, frow))
 	}
 
-	realized := epochWindow{
-		start: pw.start, end: pw.end, rate: pw.rate, phase: pw.phase, rates: rates,
-		saturated: acct.saturated, shedded: acct.shedded, backlogReq: acct.backlogReq,
-	}
 	l.classes = splitByRate(l.classes, rates, frow)
-	if err := runEpoch(l.classes, pw.end-pw.start, l.r); err != nil {
+	if err := runEpoch(l.classes, realized.end-realized.start, l.r); err != nil {
 		return FleetTelemetry{}, err
 	}
-	tel := fleetTelemetry(e, realized, l.classes, l.c.CompactNodes, len(l.c.Nodes))
+	tel := fleetTelemetry(e, realized, l.classes, l.c.CompactNodes, n)
 
-	l.target = target
 	l.realized = append(l.realized, realized)
 	l.targets = append(l.targets, target)
 	l.forced = append(l.forced, force)
 	l.tels = append(l.tels, tel)
 	l.epoch++
 	return tel, nil
+}
+
+// activeSet returns the active node indices for a target: the first
+// target up nodes in fleet order (crashed nodes skipped). With fewer
+// than target up nodes the whole surviving fleet serves. An epoch
+// without a fault row gets a prefix of the plan's identity set, so a
+// healthy fleet pays no O(nodes) index list per epoch.
+func (l *Live) activeSet(target int, faults []runner.Fault) []int {
+	if faults == nil {
+		return l.all[:target]
+	}
+	up := make([]int, 0, target)
+	for i := range l.c.Nodes {
+		if faults[i].Down {
+			continue
+		}
+		up = append(up, i)
+		if len(up) == target {
+			break
+		}
+	}
+	return up
 }
 
 // Result packages the epochs completed so far: realized timelines
@@ -279,12 +268,10 @@ func (l *Live) Result() (ScenarioResult, error) {
 func (l *Live) Fork() *Live {
 	n := &Live{
 		scenarioPlan: l.scenarioPlan,
-		replay:       l.replay,
 		realized:     append([]epochWindow(nil), l.realized...),
 		targets:      append([]int(nil), l.targets...),
 		forced:       append([]bool(nil), l.forced...),
 		tels:         append([]FleetTelemetry(nil), l.tels...),
-		target:       l.target,
 		epoch:        l.epoch,
 	}
 	if l.adm != nil {
@@ -329,8 +316,11 @@ func (l *Live) rebuildController() Controller {
 // liveSnapshotVersion versions the fleet checkpoint document. Same
 // policy as the instance format: bumped on any encoding or replay-
 // equivalence change, no cross-version migration. Version 2 added the
-// overload admission policy to the identity block.
-const liveSnapshotVersion = 2
+// overload admission policy to the identity block. Version 3 keeps the
+// encoding but replays differently: an unforced open-loop or oracle
+// epoch after a forced one now admits against the backlog the forced
+// epoch left, not against a precomputed plan's.
+const liveSnapshotVersion = 3
 
 // Snapshot checkpoints the fleet: an identity block naming the
 // scenario shape (restore rejects a mismatched config), the decision
@@ -469,7 +459,7 @@ func RestoreLive(cfg ScenarioConfig, data []byte) (*Live, error) {
 	}
 
 	// Deterministic re-step: forced epochs replay their recorded target,
-	// unforced epochs re-derive theirs (controller or plan) — and must
+	// unforced epochs re-derive theirs (controller or whole fleet) — and must
 	// land on the recorded value, or the simulator/scenario has diverged
 	// from the checkpoint.
 	for e := 0; e < len(targets); e++ {

@@ -247,7 +247,7 @@ func TestLiveSnapshotBytesPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "f7bf5cff47789483d0378175c81f28179d89b5901fb557e6df463a7429d9cd78"
+	const want = "665d82ca97243f8824a8c532418b8b92d5820bea2779ccf32f3bbbc6252819a2"
 	if got := fmt.Sprintf("%x", sha256.Sum256(blob)); got != want {
 		t.Errorf("fleet snapshot sha256 = %s, want %s", got, want)
 	}

@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 
-	"repro/internal/runner"
 	"repro/internal/server"
 )
 
@@ -117,9 +116,10 @@ type overloadAccount struct {
 
 // admission carries the overload-control state across epochs — for the
 // shed and degrade policies it is stateless bookkeeping, for queue it
-// holds the backlog. One admission instance follows one fleet timeline
-// (a fork copies it), and the plan adjuster runs its own, so replayed
-// epochs and run-time decisions see identical sequences.
+// holds the backlog. There is one admission instance per fleet
+// timeline (a fork copies it), and every epoch — open-loop, controlled
+// or forced — admits through it, so the backlog one epoch queues is
+// the demand the next one sees.
 type admission struct {
 	policy     string
 	maxBacklog float64 // requests; the queue policy's cap
@@ -135,26 +135,16 @@ func (c resolvedScenario) newAdmission() *admission {
 	}
 	return &admission{
 		policy:     c.Overload.Policy,
-		maxBacklog: c.Overload.MaxBacklogSec * c.overloadCapacity(allNodes(len(c.Nodes))),
+		maxBacklog: c.Overload.MaxBacklogSec * AdmissionCapacityQPS(c.Nodes, c.Overload.MaxUtil),
 	}
-}
-
-// allNodes is the identity active set: every node index.
-func allNodes(n int) []int {
-	up := make([]int, n)
-	for i := range up {
-		up[i] = i
-	}
-	return up
 }
 
 // admit applies the overload policy for one epoch: offered is the
 // schedule's mean rate over the window, capacity the active set's
 // admission ceiling, winSec the window length. It returns the rate the
-// dispatcher should actually route and the epoch's account. When the
-// admitted rate equals the offered rate exactly, callers keep the
-// original partition untouched (bit-for-bit) — admission only ever
-// re-partitions epochs it actually clipped.
+// dispatcher should actually route and the epoch's account. An epoch
+// it does not clip routes exactly the offered rate, so its partition is
+// bit-identical to a run without admission control.
 func (a *admission) admit(offered, capacity, winSec float64) (float64, overloadAccount) {
 	switch a.policy {
 	case OverloadDegrade:
@@ -189,55 +179,4 @@ func (a *admission) admit(offered, capacity, winSec float64) (float64, overloadA
 			shedded:   (offered - capacity) * winSec,
 		}
 	}
-}
-
-// upSet returns the indices of the nodes not crashed under this epoch's
-// fault row (nil means healthy) — the open-loop active set.
-func upSet(n int, frow []runner.Fault) []int {
-	if frow == nil {
-		return allNodes(n)
-	}
-	up := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if !frow[i].Down {
-			up = append(up, i)
-		}
-	}
-	return up
-}
-
-// applyOverloadPlan runs admission control over the precomputed epoch
-// plan — the open-loop (and oracle-replay) counterpart of the run-time
-// admission the controller path performs. It walks the plan in epoch
-// order (the queue policy's backlog is sequential state), clips each
-// epoch's rate to the up set's capacity per the policy, re-partitions
-// only the epochs it clipped, and records each epoch's account on its
-// window. Runs after applyFaultRates, so capacity reflects crashed
-// nodes.
-func applyOverloadPlan(c resolvedScenario, part func(Config) []float64, plan []epochWindow, faults [][]runner.Fault) {
-	adm := c.newAdmission()
-	if adm == nil {
-		return
-	}
-	for e := range plan {
-		pw := &plan[e]
-		var frow []runner.Fault
-		if faults != nil {
-			frow = faults[e]
-		}
-		up := upSet(len(c.Nodes), frow)
-		winSec := float64(pw.end-pw.start) / 1e9
-		admitted, acct := adm.admit(pw.rate, c.overloadCapacity(up), winSec)
-		if admitted != pw.rate {
-			pw.rates = partitionOver(c, part, admitted, up)
-		}
-		pw.saturated = acct.saturated
-		pw.shedded = acct.shedded
-		pw.backlogReq = acct.backlogReq
-	}
-}
-
-// account packages a planned window's recorded admission outcome.
-func (pw epochWindow) account() overloadAccount {
-	return overloadAccount{saturated: pw.saturated, shedded: pw.shedded, backlogReq: pw.backlogReq}
 }

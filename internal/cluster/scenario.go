@@ -48,12 +48,12 @@ type ScenarioConfig struct {
 	// perturbing any existing result bit.
 	Replicas int
 	// Controller selects the fleet autoscaling policy (see
-	// ControllerSpec). The zero value keeps today's open-loop behavior:
-	// the epoch plan is computed once from the schedule and every node
-	// runs its precomputed timeline. With a named controller each
-	// epoch's rate partition is decided at run time from the previous
-	// epoch's telemetry instead (the oracle replays the precomputed plan
-	// and so reproduces the open-loop results bit-for-bit).
+	// ControllerSpec). The zero value is open-loop: every epoch routes
+	// its offered rate across the whole up fleet. With a named
+	// controller each epoch's active set is decided from the previous
+	// epoch's telemetry instead (the oracle makes no decision and routes
+	// like the open-loop run, so it reproduces the open-loop results
+	// bit-for-bit).
 	Controller ControllerSpec
 	// Faults injects node- and cluster-level faults into the run:
 	// explicit per-node crash/straggler/thermal windows plus a seeded
@@ -306,51 +306,39 @@ func (c ScenarioConfig) Validate() error {
 	return err
 }
 
-// epochWindow is one planned re-dispatch interval: its schedule window,
-// mean rate, covering phase, and the per-node rate partition. The plan
-// depends only on the schedule and the dispatch policy — never on
-// simulation results — so an open-loop run replays it epoch by epoch
-// without consulting any telemetry.
+// epochWindow is one re-dispatch interval: its schedule window, mean
+// offered rate and covering phase. The plan depends only on the
+// schedule — never on simulation results; each epoch's per-node routing
+// is decided when the epoch is stepped.
 type epochWindow struct {
 	start, end sim.Time
 	rate       float64
 	phase      string
-	rates      []float64
-	// Admission-control account for the window (see OverloadSpec): set
-	// by applyOverloadPlan on planned windows and by the run-time
-	// admission on realized ones; all zero when admission is disabled.
-	saturated  bool
-	shedded    float64 // requests dropped during the window
-	backlogReq float64 // requests still queued at the window's end
+	// overloadAccount is the window's admission outcome (see
+	// OverloadSpec), set when the epoch is stepped; all zero when
+	// admission is disabled.
+	overloadAccount
 }
 
-// planEpochs partitions the schedule into epoch windows and each
-// window's mean rate across the nodes.
-func planEpochs(c resolvedScenario, part func(Config) []float64, total sim.Time) []epochWindow {
+// planEpochs cuts the schedule into epoch windows, each with its mean
+// rate and phase.
+func planEpochs(c resolvedScenario) []epochWindow {
 	var plan []epochWindow
 	for e := 0; ; e++ {
 		t0 := c.Epoch * sim.Time(e)
-		if t0 >= total {
+		if t0 >= c.total {
 			return plan
 		}
 		t1 := t0 + c.Epoch
-		if t1 > total {
-			t1 = total
+		if t1 > c.total {
+			t1 = c.total
 		}
-		window := t1 - t0
-		rate := c.Schedule.AvgRate(t0, t1)
-		phase, _ := c.Schedule.PhaseAt(t0 + window/2)
+		phase, _ := c.Schedule.PhaseAt(t0 + (t1-t0)/2)
 		plan = append(plan, epochWindow{
 			start: t0,
 			end:   t1,
-			rate:  rate,
+			rate:  c.Schedule.AvgRate(t0, t1),
 			phase: phase.Name,
-			rates: part(Config{
-				Nodes:      c.Nodes,
-				RateQPS:    rate,
-				Dispatch:   c.Dispatch,
-				TargetUtil: c.TargetUtil,
-			}),
 		})
 	}
 }
@@ -367,20 +355,22 @@ func (c resolvedScenario) fleetConfig(rate float64) Config {
 	}
 }
 
-// scenarioPlan is a normalized scenario with its epoch plan built: the
-// shared front half of RunScenario and NewLive, so both step the same
-// plan.
+// scenarioPlan is a normalized scenario with its epoch windows, fault
+// rows and dispatch policy resolved: the immutable front half of a Live,
+// shared by its forks.
 type scenarioPlan struct {
 	c      resolvedScenario
 	part   func(Config) []float64
 	r      *runner.Runner
 	plan   []epochWindow
 	faults [][]runner.Fault
+	// all is the identity active set 0..n-1: an epoch without a fault
+	// row routes over a prefix of it.
+	all []int
 }
 
-// newScenarioPlan normalizes the config and partitions the schedule into
-// the epoch plan, with crashed nodes' load re-partitioned over the
-// survivors and admission control applied.
+// newScenarioPlan normalizes the config and cuts the schedule into
+// epoch windows and their fault rows.
 func newScenarioPlan(cfg ScenarioConfig) (scenarioPlan, error) {
 	c, err := cfg.Normalize()
 	if err != nil {
@@ -394,19 +384,12 @@ func newScenarioPlan(cfg ScenarioConfig) (scenarioPlan, error) {
 	if r == nil {
 		r = runner.Default()
 	}
-	plan := planEpochs(c, part, c.total)
-	faults := c.faultPlan(plan)
-	if faults != nil {
-		// Crashed nodes serve nothing; re-partition their epochs' load
-		// over the survivors before any timeline is built.
-		applyFaultRates(c, part, plan, faults)
+	plan := planEpochs(c)
+	all := make([]int, len(c.Nodes))
+	for i := range all {
+		all[i] = i
 	}
-	// Admission control clips the plan after the fault adjustment, so
-	// capacity reflects crashed nodes. Controlled epochs re-admit at run
-	// time against the controller's active set; the oracle replays these
-	// planned accounts.
-	applyOverloadPlan(c, part, plan, faults)
-	return scenarioPlan{c: c, part: part, r: r, plan: plan, faults: faults}, nil
+	return scenarioPlan{c: c, part: part, r: r, plan: plan, faults: c.faultPlan(plan), all: all}, nil
 }
 
 // newResult returns the result with its configuration echo filled in,
@@ -422,17 +405,13 @@ func (c resolvedScenario) newResult() ScenarioResult {
 }
 
 // RunScenario simulates the fleet under the time-varying schedule with
-// epoch-stepped re-dispatch: the schedule is partitioned into an epoch
-// plan up front, then a Live is stepped to the end of it and packaged
-// by Live.Result. Open-loop and oracle runs replay the plan's rates;
-// a run with a controller decides each epoch's active set from the
+// epoch-stepped re-dispatch: a Live is stepped to the end of the
+// schedule and packaged by Live.Result. Every epoch routes its load when
+// it is stepped: open-loop and oracle runs across the whole up fleet, a
+// run with a controller across the active set it decides from the
 // previous epoch's telemetry.
 func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
-	p, err := newScenarioPlan(cfg)
-	if err != nil {
-		return ScenarioResult{}, err
-	}
-	l, err := newLive(p)
+	l, err := NewLive(cfg)
 	if err != nil {
 		return ScenarioResult{}, err
 	}
@@ -447,7 +426,7 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 	}
 	// Noted here, once per run, not in Result: awserved calls Result on
 	// every request.
-	p.r.NoteClassDedup(len(p.c.Nodes), out.Classes, out.ReplicaRuns)
+	l.r.NoteClassDedup(len(l.c.Nodes), out.Classes, out.ReplicaRuns)
 	return out, nil
 }
 
@@ -468,8 +447,9 @@ func newEpochResult(e int, pw epochWindow) EpochResult {
 // measurements and appends it to out with its park, unpark, crash and
 // restart bookkeeping. Every member of a class shares its
 // representative's rate and park state in every epoch (both are part
-// of what makes a class), so the counts are taken per class, weighted
-// by class size, and are exact. The aggregation runs either over every
+// of what makes a class), so each node's rate is read from its class
+// timeline and the counts are taken per class, weighted by class size,
+// and are exact. The aggregation runs either over every
 // node in fleet order, each carrying its class's measurement (the
 // full-detail default), or with CompactNodes over one weighted entry
 // per class, in O(classes) per epoch with EpochResult.Fleet.Nodes left
@@ -494,12 +474,13 @@ func foldEpochs(c resolvedScenario, plan []epochWindow, classes []timelineClass,
 		for ci := range classes {
 			cl := &classes[ci]
 			iv := cl.results[0][e]
+			rate := cl.spec.Intervals[e].Rate
 			m := len(cl.members)
 			if c.CompactNodes {
-				nodes[ci] = NodeResult{Node: cl.rep, RateQPS: pw.rates[cl.rep], Parked: iv.Parked, Result: iv.Result}
+				nodes[ci] = NodeResult{Node: cl.rep, RateQPS: rate, Parked: iv.Parked, Result: iv.Result}
 			} else {
 				for _, i := range cl.members {
-					nodes[i] = NodeResult{Node: i, RateQPS: pw.rates[i], Parked: iv.Parked, Result: iv.Result}
+					nodes[i] = NodeResult{Node: i, RateQPS: rate, Parked: iv.Parked, Result: iv.Result}
 				}
 			}
 			if iv.Parked {
@@ -511,7 +492,7 @@ func foldEpochs(c resolvedScenario, plan []epochWindow, classes []timelineClass,
 			if iv.Restarted {
 				ep.Restarted += m
 			}
-			if parked[ci] && pw.rates[cl.rep] > 0 {
+			if parked[ci] && rate > 0 {
 				ep.Unparked += m
 			}
 			parked[ci] = iv.Parked

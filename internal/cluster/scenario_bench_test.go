@@ -39,8 +39,8 @@ func benchScenarioCfg(r *runner.Runner) ScenarioConfig {
 	}
 }
 
-// BenchmarkRunScenarioWarm measures an open-loop run, the scenario
-// engine replaying its plan, on the default diurnal 64-node
+// BenchmarkRunScenarioWarm measures an open-loop run, every epoch
+// routed across the whole fleet, on the default diurnal 64-node
 // configuration.
 func BenchmarkRunScenarioWarm(b *testing.B) {
 	b.ReportAllocs()

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cstate"
 	"repro/internal/runner"
 	"repro/internal/scenario"
+	"repro/internal/server"
 	"repro/internal/sim"
 )
 
@@ -146,10 +147,49 @@ func TestScenarioNodeFailureShortCircuits(t *testing.T) {
 	}
 }
 
+// referencePlanRates is the per-node rate plan an open-loop run must
+// route, computed up front the way a precomputed plan would be and
+// without the engine's step path: every epoch's offered rate is
+// partitioned over its up nodes, then admission runs in epoch order and
+// only the epochs it clipped are re-partitioned at the admitted rate.
+func referencePlanRates(p scenarioPlan) [][]float64 {
+	adm := p.c.newAdmission()
+	rates := make([][]float64, len(p.plan))
+	for e, pw := range p.plan {
+		var up []int
+		var upNodes []server.Config
+		for i := range p.c.Nodes {
+			if p.faults == nil || !p.faults[e][i].Down {
+				up = append(up, i)
+				upNodes = append(upNodes, p.c.Nodes[i])
+			}
+		}
+		partition := func(rate float64) []float64 {
+			out := make([]float64, len(p.c.Nodes))
+			if len(up) == 0 {
+				return out
+			}
+			sub := p.part(Config{Nodes: upNodes, RateQPS: rate, Dispatch: p.c.Dispatch, TargetUtil: p.c.TargetUtil})
+			for j, i := range up {
+				out[i] = sub[j]
+			}
+			return out
+		}
+		rates[e] = partition(pw.rate)
+		if adm != nil {
+			capacity := AdmissionCapacityQPS(upNodes, p.c.Overload.MaxUtil)
+			if admitted, _ := adm.admit(pw.rate, capacity, float64(pw.end-pw.start)/1e9); admitted != pw.rate {
+				rates[e] = partition(admitted)
+			}
+		}
+	}
+	return rates
+}
+
 // TestOpenLoopMatchesPerNodeTimelines checks open-loop runs against a
 // reference that shares no code with the class machinery: every node's
-// own un-collapsed timeline, built from the plan's rates and fault
-// rows and run alone on a fresh runner. Each epoch's expanded node
+// own un-collapsed timeline, built from referencePlanRates and the
+// fault rows and run alone on a fresh runner. Each epoch's expanded node
 // result must equal that reference bit for bit, whatever classes the
 // run collapsed the node into and however those split mid-run. The
 // fleets cover distinct seeds, shared seeds that split under
@@ -207,10 +247,11 @@ func TestOpenLoopMatchesPerNodeTimelines(t *testing.T) {
 			if tc.cfg.Overload.Policy != "" && res.SaturatedEpochs == 0 {
 				t.Fatal("overload fixture never saturated")
 			}
+			rates := referencePlanRates(p)
 			for i := range tc.cfg.Nodes {
 				spec := runner.TimelineSpec{Node: tc.cfg.Nodes[i], Park: tc.cfg.ParkDrained}
 				for e, pw := range p.plan {
-					iv := runner.Interval{Window: pw.end - pw.start, Rate: pw.rates[i]}
+					iv := runner.Interval{Window: pw.end - pw.start, Rate: rates[e][i]}
 					if p.faults != nil {
 						iv.Fault = p.faults[e][i]
 					}

@@ -155,8 +155,8 @@ func TestGoldenScenarioClassCollapse(t *testing.T) {
 // TestGoldenScenarioOracleController pins the closed-loop engine's
 // exactness at the public API: the oracle controller — which routes the
 // run through the incremental feedback machinery (live classes,
-// per-epoch telemetry, split detection) but replays the precomputed
-// plan — must reproduce the pinned warm-path fingerprints bit-for-bit,
+// per-epoch telemetry, split detection) but routes every epoch across
+// the whole up fleet, as the open-loop run does — must reproduce the pinned warm-path fingerprints bit-for-bit,
 // both expanded and in the K=1 compact class-collapse mode. Any drift
 // here means the incremental engine is not an identity on open-loop
 // decisions, which would poison every controller comparison built on

@@ -263,8 +263,7 @@ func (l *Live) Result() (ScenarioResult, error) {
 // split uses too), and the controller is rebuilt by replaying its
 // observation history. Stepping the fork and the parent through
 // identical futures yields bit-identical measurements — what-if
-// queries run on forks so the live fleet is never disturbed. A cloned
-// node does not re-fire its TraceHook for the shared prefix.
+// queries run on forks so the live fleet is never disturbed.
 func (l *Live) Fork() *Live {
 	n := &Live{
 		scenarioPlan: l.scenarioPlan,

@@ -83,8 +83,3 @@ func (m *C6Model) EntryLatency(dirtyFraction, freqHz float64) sim.Time {
 func (m *C6Model) ExitLatency() sim.Time {
 	return m.ExitHardware + m.ExitRestore
 }
-
-// RoundTrip returns entry followed by exit at the given conditions.
-func (m *C6Model) RoundTrip(dirtyFraction, freqHz float64) sim.Time {
-	return m.EntryLatency(dirtyFraction, freqHz) + m.ExitLatency()
-}

@@ -7,10 +7,10 @@
 // Memoization is sound because a simulation is a pure function of its
 // Config: all randomness derives from Config.Seed, and Key only reports a
 // config cacheable when every behavioral input is captured by value
-// (profiles backed by live mutable state, custom catalogs, and trace
-// hooks are executed uncached). Cached Results are shared between
-// callers, so experiments must treat them as read-only — which they do,
-// being pure renderers.
+// (profiles backed by live mutable state and custom catalogs are
+// executed uncached). Cached Results are shared between callers, so
+// experiments must treat them as read-only — which they do, being pure
+// renderers.
 package runner
 
 import (
@@ -142,9 +142,9 @@ var defaultRunner = New(0)
 func Default() *Runner { return defaultRunner }
 
 // AppendKey appends the memoization key for cfg to buf and reports
-// whether cfg is cacheable. Non-cacheable configs (custom catalog, trace
-// hook, or a profile whose behavior is not captured by value) always
-// execute. The key is the binary config block snapshots also write
+// whether cfg is cacheable. Non-cacheable configs (a custom catalog, or
+// a profile whose behavior is not captured by value) always execute.
+// The key is the binary config block snapshots also write
 // (server.EncodeKey), computed on the defaulted config so zero-value and
 // explicitly-default knobs (Dispatch "" vs "round-robin", PackQueueCap 0
 // vs 4, ...) share one cache slot, followed by RatePerSec and the

@@ -14,15 +14,13 @@ import (
 // IntervalResults and Snapshot bytes, and neither can observe the
 // other: every mutable object is copied, and only immutable
 // construction inputs are shared (the C-state catalog, the platform
-// menu, the profile's service distribution and the TraceHook).
+// menu and the profile's service distribution).
 //
 // A clone is O(state), not O(history): it is how a what-if fork or a
 // class split takes a warm node without replaying how the node got
-// there. Unlike a replay it does not re-fire the TraceHook for the
-// transitions of the shared prefix; only the clone's own future
-// transitions reach the hook. A profile service backed by live mutable
-// state (one that is not fingerprintable) stays shared, exactly as it
-// is shared by every copy of its Profile.
+// there. A profile service backed by live mutable state (one that is
+// not fingerprintable) stays shared, exactly as it is shared by every
+// copy of its Profile.
 func (ins *Instance) Clone() *Instance {
 	c := *ins
 	c.s = ins.s.clone()

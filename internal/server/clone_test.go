@@ -190,8 +190,8 @@ func TestCloneBeforeFirstInterval(t *testing.T) {
 // disjoint: no pointer, slice backing array or map reachable from the
 // clone may be reachable from the original. Only immutable
 // construction inputs may be shared: the C-state catalog, the platform
-// menu, and funcs (the TraceHook and the engines' handler tables, whose
-// closures the equivalence test covers).
+// menu, and funcs (the engines' handler tables, whose closures the
+// equivalence test covers).
 func TestCloneSharesNoMutableState(t *testing.T) {
 	shared := map[reflect.Type]bool{
 		reflect.TypeOf((*cstate.Catalog)(nil)): true,
@@ -199,9 +199,7 @@ func TestCloneSharesNoMutableState(t *testing.T) {
 	}
 	for _, tc := range cloneMatrix() {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := tc.cfg
-			cfg.TraceHook = func(int, sim.Time, cstate.ID) {}
-			orig, err := NewInstance(cfg, tc.park)
+			orig, err := NewInstance(tc.cfg, tc.park)
 			if err != nil {
 				t.Fatal(err)
 			}

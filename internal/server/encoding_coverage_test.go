@@ -85,9 +85,6 @@ func perturb(t *testing.T, name string, v reflect.Value) {
 	case "Catalog":
 		v.Set(reflect.ValueOf(cstate.Skylake()))
 		return
-	case "TraceHook":
-		v.Set(reflect.ValueOf(func(int, sim.Time, cstate.ID) {}))
-		return
 	case "Schedule":
 		s, err := scenario.Constant("flat", 100e3, sim.Millisecond)
 		if err != nil {
@@ -130,12 +127,12 @@ func perturb(t *testing.T, name string, v reflect.Value) {
 // encoder shared by the runner's memo and class keys and by snapshots.
 // Every leaf of server.Config is moved one at a time, and:
 //
-//   - the memo key changes, or, for a custom Catalog or a TraceHook,
-//     the config becomes uncacheable;
+//   - the memo key changes, or, for a custom Catalog, the config
+//     becomes uncacheable;
 //   - a snapshot round trip restores the moved value. An Instance
-//     ignores RatePerSec and Schedule, so those two are exempt. Catalog,
-//     TraceHook and profile leaves may instead be refused at capture,
-//     since a snapshot names its profile by registry entry.
+//     ignores RatePerSec and Schedule, so those two are exempt. Catalog
+//     and profile leaves may instead be refused at capture, since a
+//     snapshot names its profile by registry entry.
 //
 // A Config field the encoder misses fails here.
 func TestConfigEncodingCoversEveryField(t *testing.T) {
@@ -163,11 +160,10 @@ func TestConfigEncodingCoversEveryField(t *testing.T) {
 			}
 
 			key, ok := runner.Key(cfg)
-			uncacheable := l.name == "Catalog" || l.name == "TraceHook"
 			switch {
-			case uncacheable && ok:
+			case l.name == "Catalog" && ok:
 				t.Fatal("config reported cacheable")
-			case !uncacheable && (!ok || key == baseKey):
+			case l.name != "Catalog" && (!ok || key == baseKey):
 				t.Fatalf("memo key blind to the field (cacheable=%v)", ok)
 			}
 
@@ -180,7 +176,7 @@ func TestConfigEncodingCoversEveryField(t *testing.T) {
 			}
 			blob, err := ins.Snapshot()
 			if err != nil {
-				if uncacheable || strings.HasPrefix(l.name, "Profile.") {
+				if l.name == "Catalog" || strings.HasPrefix(l.name, "Profile.") {
 					return // refused at capture
 				}
 				t.Fatalf("snapshot: %v", err)

@@ -135,18 +135,6 @@ func (ins *Instance) QueueDepth() int {
 	return depth
 }
 
-// BusyCores returns the number of cores executing a request right now —
-// the companion point sample to QueueDepth for epoch-boundary telemetry.
-func (ins *Instance) BusyCores() int {
-	n := 0
-	for _, c := range ins.s.cores {
-		if c.busy {
-			n++
-		}
-	}
-	return n
-}
-
 // SetServiceInflation installs (or clears) a straggler fault: every
 // request dispatched while factor > 1 has its sampled service demand
 // multiplied by factor. Factor <= 1 restores healthy service times.

@@ -99,14 +99,6 @@ type Config struct {
 	// OSNoiseDemand is the CPU demand of one background wake-up.
 	OSNoiseDemand sim.Time
 
-	// TraceHook, when set, receives every per-core C-state change
-	// (core, time, new state) — the power:cpu_idle trace of this
-	// simulator. See internal/trace for a recorder implementation.
-	// Excluded from JSON: a hook is per-process state, and results that
-	// echo their Config must stay marshalable (the awserved query API
-	// serves them).
-	TraceHook func(core int, now sim.Time, state cstate.ID) `json:"-"`
-
 	// PkgIdleEnabled turns on the package idle-state model: when every
 	// core has been resident in an idle state for PkgEntryDelay, the
 	// uncore drops to PkgUncoreLowW until any core wakes. This extends
@@ -404,8 +396,6 @@ type coreRuntime struct {
 	curPowerW float64
 	// busyAtTurbo accumulates busy time at turbo frequency.
 	busyTime, turboBusyTime sim.Time
-	// lastTraced deduplicates TraceHook callbacks.
-	lastTraced cstate.ID
 	// snoopGen invalidates in-flight snoop-service timers when the core
 	// leaves its idle episode.
 	snoopGen uint64
@@ -617,9 +607,6 @@ func newSim(cfg Config, inst bool) (*Sim, error) {
 			meter:   stats.NewEnergyMeter(0, 0),
 		}
 		s.cores = append(s.cores, c)
-		if cfg.TraceHook != nil {
-			cfg.TraceHook(i, 0, cstate.C0)
-		}
 		// Cores start idle: enter a C-state immediately.
 		s.enterIdle(c, 0)
 	}
@@ -698,16 +685,6 @@ func (s *Sim) newKinds() {
 		}
 	})
 	s.gen.register(s)
-}
-
-// traceSwitch reports a residency change to the trace hook, suppressing
-// duplicates.
-func (s *Sim) traceSwitch(c *coreRuntime, now sim.Time, st cstate.ID) {
-	if s.cfg.TraceHook == nil || c.lastTraced == st {
-		return
-	}
-	c.lastTraced = st
-	s.cfg.TraceHook(c.idx, now, st)
 }
 
 // baseFreq returns the core's non-turbo operating frequency.
@@ -810,7 +787,6 @@ func (s *Sim) enterIdle(c *coreRuntime, now sim.Time) {
 
 func (s *Sim) entryDone(c *coreRuntime, now sim.Time) {
 	mustExit, exitLat := c.machine.EntryComplete(now)
-	s.traceSwitch(c, now, c.machine.State())
 	if mustExit {
 		// An arrival landed during entry; the wake penalty also includes
 		// the software exit path.
@@ -842,7 +818,6 @@ func (s *Sim) wake(c *coreRuntime, now sim.Time) {
 		exitLat, _ := c.machine.Wake(now)
 		c.snoopGen++
 		s.coreLeftIdle(now)
-		s.traceSwitch(c, now, cstate.C0)
 		s.setCorePower(c, now, s.exitPowerW[state])
 		penalty := exitLat + s.swExitNS[state]
 		if c.queue.len() > 0 {
@@ -864,7 +839,6 @@ func (s *Sim) wake(c *coreRuntime, now sim.Time) {
 
 func (s *Sim) exitDone(c *coreRuntime, now sim.Time) {
 	c.machine.ExitComplete(now)
-	s.traceSwitch(c, now, cstate.C0)
 	if c.queue.len() > 0 {
 		s.startNext(c, now)
 		return

@@ -46,17 +46,14 @@ const snapshotVersion = 1
 // process (or after this one exits) with bit-identical future behavior.
 //
 // Not every instance is snapshottable: the config must be expressible
-// by value. A custom Catalog, a TraceHook, or a Profile that is not a
-// registered built-in (workload.ByName) cannot travel through bytes and
-// are rejected here, at capture time, rather than producing a payload
+// by value. A custom Catalog, or a Profile that is not a registered
+// built-in (workload.ByName), cannot travel through bytes and is
+// rejected here, at capture time, rather than producing a payload
 // that cannot restore.
 func (ins *Instance) Snapshot() ([]byte, error) {
 	cfg := ins.orig
 	if cfg.Catalog != nil {
 		return nil, fmt.Errorf("server: snapshot: custom C-state catalogs are not serializable (use the default catalog)")
-	}
-	if cfg.TraceHook != nil {
-		return nil, fmt.Errorf("server: snapshot: instances with a TraceHook are not serializable")
 	}
 	reg, err := workload.ByName(cfg.Profile.Name)
 	if err != nil {
@@ -101,15 +98,15 @@ func (ins *Instance) Snapshot() ([]byte, error) {
 
 // EncodeKey appends the config block of cfg with every unset knob
 // defaulted, so zero-value and explicitly-default configs encode alike,
-// and reports whether cfg is captured by value: a custom Catalog or a
-// TraceHook report false and append nothing. fingerprint is the text
+// and reports whether cfg is captured by value: a custom Catalog
+// reports false and appends nothing. fingerprint is the text
 // cfg.Profile.AppendFingerprint appends; the caller checks that the
 // profile has one, and a caller keying many nodes reuses one text
 // across nodes that share a profile. It is the shared prefix of the
 // runner's memo and class keys, so those keys and snapshots list the
 // behavioural fields in one place.
 func EncodeKey(e *snapbuf.Encoder, cfg *Config, fingerprint []byte) bool {
-	if cfg.Catalog != nil || cfg.TraceHook != nil {
+	if cfg.Catalog != nil {
 		return false
 	}
 	d := *cfg

@@ -236,8 +236,8 @@ func TestRestoreRejectsCorruptPayloads(t *testing.T) {
 }
 
 // TestSnapshotRejectsUnserializable pins the capture-time guards: state
-// that cannot travel through bytes (custom catalog, trace hook,
-// unregistered workload profile) is rejected by Snapshot itself.
+// that cannot travel through bytes (custom catalog, unregistered
+// workload profile) is rejected by Snapshot itself.
 func TestSnapshotRejectsUnserializable(t *testing.T) {
 	mk := func(mut func(*Config)) *Instance {
 		cfg := snapCfg()
@@ -253,9 +253,6 @@ func TestSnapshotRejectsUnserializable(t *testing.T) {
 		ins  *Instance
 	}{
 		{"custom-catalog", mk(func(c *Config) { c.Catalog = cstate.Skylake() })},
-		{"trace-hook", mk(func(c *Config) {
-			c.TraceHook = func(int, sim.Time, cstate.ID) {}
-		})},
 		{"unregistered-profile", mk(func(c *Config) {
 			p := workload.Memcached()
 			p.Name = "bespoke"

@@ -423,9 +423,6 @@ func (r *Residency) Fractions() []float64 {
 	return out
 }
 
-// Labels returns the state labels.
-func (r *Residency) Labels() []string { return append([]string(nil), r.labels...) }
-
 // Clone returns an independent copy of the tracker in its current state.
 func (r *Residency) Clone() *Residency {
 	c := *r

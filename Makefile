@@ -24,10 +24,12 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./...
 
-# The CI-gated microbenchmarks, with stable sampling.
+# The CI-gated microbenchmarks, with stable sampling, then the whole
+# quick evaluation (one pass per sample).
 bench-micro:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 0.3s -count 6 \
 		./internal/sim ./internal/stats ./internal/server ./internal/cluster ./internal/runner
+	$(GO) test -run '^$$' -bench '^BenchmarkQuickEvaluation$$' -benchmem -benchtime 1x -count 6 .
 
 # CPU-profile one benchmark (default BenchmarkRunService) and open the
 # top. Narrow with BENCH=... PKG=..., drill down with:
@@ -52,6 +54,8 @@ bench-json:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 0.3s -count 6 \
 		./internal/sim ./internal/stats ./internal/server ./internal/cluster ./internal/runner \
 		| tee $(PROF_DIR)/bench-micro.txt
+	$(GO) test -run '^$$' -bench '^BenchmarkQuickEvaluation$$' -benchmem -benchtime 1x -count 6 . \
+		| tee -a $(PROF_DIR)/bench-micro.txt
 	$(GO) run ./cmd/benchgate -new $(PROF_DIR)/bench-micro.txt \
 		-emit BENCH_$$(date -u +%F).json -commit "$$(git rev-parse HEAD 2>/dev/null)"
 

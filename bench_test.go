@@ -128,6 +128,34 @@ func BenchmarkDispatch(b *testing.B) { benchExperiment(b, ExpDispatch) }
 // BenchmarkCluster regenerates the fleet spread-vs-consolidate study.
 func BenchmarkCluster(b *testing.B) { benchExperiment(b, ExpCluster) }
 
+// BenchmarkScenario regenerates the time-varying fleet study (the
+// diurnal Baseline-vs-AW day and the controller comparison).
+func BenchmarkScenario(b *testing.B) { benchExperiment(b, ExpScenario) }
+
+// BenchmarkFaults regenerates the crash-under-spike fault study.
+func BenchmarkFaults(b *testing.B) { benchExperiment(b, ExpFaults) }
+
+// BenchmarkOverload regenerates the admission-control study.
+func BenchmarkOverload(b *testing.B) { benchExperiment(b, ExpOverload) }
+
+// BenchmarkQuickEvaluation regenerates the whole evaluation at quick
+// fidelity once per iteration: every experiment in Experiments() order,
+// as the benchmark's paper-eval workload runs it. Seeds come from the
+// same disjoint blocks as benchExperiment's, so no iteration is served
+// from another's memoized simulations.
+func BenchmarkQuickEvaluation(b *testing.B) {
+	opts := QuickOptions()
+	base := benchSeedBlock.Next(opts.Seed)
+	for i := 0; i < b.N; i++ {
+		opts.Seed = base + uint64(i)<<4
+		for _, name := range Experiments() {
+			if err := RunExperiment(name, opts, io.Discard); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkSimulatorThroughput measures raw discrete-event simulator
 // speed: one 100ms Memcached window at 200 KQPS per iteration.
 func BenchmarkSimulatorThroughput(b *testing.B) {

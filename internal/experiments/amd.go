@@ -59,16 +59,21 @@ func AMD(o Options) (AMDResult, error) {
 		})
 	}
 
+	// One flat fan-out over rate x {all states, recommended}, highest
+	// rate first.
+	menus := []governor.Config{all, rec}
+	runs := make([]server.Result, len(o.Rates)*len(menus))
+	err := parallelMap(len(runs), func(t int) (err error) {
+		t = len(runs) - 1 - t
+		runs[t], err = runEPYC(menus[t%len(menus)], o.Rates[t/len(menus)])
+		return err
+	})
 	var out AMDResult
-	for _, rate := range o.Rates {
-		allRes, err := runEPYC(all, rate)
-		if err != nil {
-			return out, err
-		}
-		recRes, err := runEPYC(rec, rate)
-		if err != nil {
-			return out, err
-		}
+	if err != nil {
+		return out, err
+	}
+	for i, rate := range o.Rates {
+		allRes, recRes := runs[2*i], runs[2*i+1]
 		p := AMDPoint{RateQPS: rate, AllStates: allRes, Recommended: recRes}
 		p.TailReductionPct = pctOver(allRes.EndToEnd.P99US, recRes.EndToEnd.P99US)
 		p.PowerPenaltyPct = pctOver(recRes.AvgCorePowerW, allRes.AvgCorePowerW)

@@ -55,10 +55,6 @@ type ClusterCostRow struct {
 // Cluster runs the fleet study: every cluster dispatch policy over the
 // QPS sweep on Baseline fleets, plus a Baseline-vs-AW fleet pair (under
 // o.ClusterDispatch, default spread) for the measured cost rows.
-//
-// Fleet points run sequentially here — each cluster.Run already fans its
-// nodes out through the shared runner's worker pool, and runner.Each
-// does not nest.
 func Cluster(o Options) (ClusterResult, error) {
 	o = o.normalize()
 	out := ClusterResult{
@@ -94,26 +90,35 @@ func Cluster(o Options) (ClusterResult, error) {
 		}
 		return res, nil
 	}
+	// One flat fan-out over rate x (every policy, then the cost pair),
+	// highest rate first: each rate's row of fleets is the Baseline fleet
+	// under each policy, then the Baseline and AW fleets under the cost
+	// policy.
+	type fleetRun struct {
+		platform governor.Config
+		policy   string
+	}
+	var row []fleetRun
+	for _, policy := range out.Policies {
+		row = append(row, fleetRun{governor.Baseline, policy})
+	}
+	row = append(row, fleetRun{governor.Baseline, out.CostPolicy}, fleetRun{governor.AW, out.CostPolicy})
+	fleets := make([]cluster.Result, len(o.Rates)*len(row))
+	err := parallelMap(len(fleets), func(t int) (err error) {
+		t = len(fleets) - 1 - t
+		run := row[t%len(row)]
+		fleets[t], err = fleet(run.platform, run.policy, o.Rates[t/len(row)])
+		return err
+	})
+	if err != nil {
+		return out, err
+	}
 	model := datacenter.NewCostModel()
-	for _, rate := range o.Rates {
-		point := ClusterPoint{RateQPS: rate, Fleets: make([]cluster.Result, len(out.Policies))}
-		for pi, policy := range out.Policies {
-			res, err := fleet(governor.Baseline, policy, rate)
-			if err != nil {
-				return out, err
-			}
-			point.Fleets[pi] = res
-		}
-		out.Points = append(out.Points, point)
-
-		base, err := fleet(governor.Baseline, out.CostPolicy, rate)
-		if err != nil {
-			return out, err
-		}
-		aw, err := fleet(governor.AW, out.CostPolicy, rate)
-		if err != nil {
-			return out, err
-		}
+	np := len(out.Policies)
+	for ri, rate := range o.Rates {
+		f := fleets[ri*len(row) : (ri+1)*len(row)]
+		out.Points = append(out.Points, ClusterPoint{RateQPS: rate, Fleets: f[:np:np]})
+		base, aw := f[np], f[np+1]
 		deltaFleet := base.FleetPowerW - aw.FleetPowerW
 		savings, err := model.YearlySavingsMeasuredFleetM(deltaFleet, o.Nodes)
 		if err != nil {

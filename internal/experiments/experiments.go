@@ -138,10 +138,43 @@ func (o Options) normalize() Options {
 	return o
 }
 
-// parallelMap runs fn(0..n-1) through the shared runner's bounded
-// worker pool and returns the first error by index.
+// parallelMap runs fn(0..n-1) through the shared runner's worker pool
+// and returns the first error by index. It nests: a task may fan out
+// again (cluster runs fan out their nodes), so an experiment fans out
+// all of its independent runs in one flat call and assembles, and
+// derives from, the results in order afterwards. Tasks are claimed in
+// index order, so a fan-out that knows its longest tasks maps the first
+// indices to them, and they do not finish alone at its tail.
 func parallelMap(n int, fn func(i int) error) error {
 	return runner.Default().Each(n, fn)
+}
+
+// serviceGrid runs profile at every rate on every platform in one flat
+// fan-out and returns grid[rate][platform]. fixedHz is nil or parallel
+// to platforms: a non-zero entry pins that platform's clock. Runs are
+// claimed from the last rate (the highest, in every built-in sweep)
+// down, as simulation cost grows with the rate.
+func (o Options) serviceGrid(profile workload.Profile, rates []float64, platforms []governor.Config, fixedHz []float64) ([][]server.Result, error) {
+	grid := make([][]server.Result, len(rates))
+	for i := range grid {
+		grid[i] = make([]server.Result, len(platforms))
+	}
+	n := len(rates) * len(platforms)
+	err := parallelMap(n, func(t int) error {
+		t = n - 1 - t
+		ri, pi := t/len(platforms), t%len(platforms)
+		hz := 0.0
+		if fixedHz != nil {
+			hz = fixedHz[pi]
+		}
+		res, err := o.runService(platforms[pi], profile, rates[ri], hz)
+		grid[ri][pi] = res
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return grid, nil
 }
 
 // serverResult aliases the simulator result for the ablation helpers.

@@ -109,15 +109,23 @@ func Faults(o Options) (FaultsExpResult, error) {
 		}
 		return res, nil
 	}
-	for _, ctrl := range []string{cluster.ControllerOracle, cluster.ControllerReactive} {
-		run := FaultControllerRun{Controller: ctrl}
-		if run.Healthy, err = fleet(ctrl, cluster.FaultSpec{}); err != nil {
-			return out, err
-		}
-		if run.Faulted, err = fleet(ctrl, spec); err != nil {
-			return out, err
-		}
-		out.Runs = append(out.Runs, run)
+	// One flat fan-out over controller x {healthy, faulted}.
+	ctrls := []string{cluster.ControllerOracle, cluster.ControllerReactive}
+	specs := []cluster.FaultSpec{{}, spec}
+	fleets := make([]cluster.ScenarioResult, len(ctrls)*len(specs))
+	err = parallelMap(len(fleets), func(t int) (err error) {
+		fleets[t], err = fleet(ctrls[t/len(specs)], specs[t%len(specs)])
+		return err
+	})
+	if err != nil {
+		return out, err
+	}
+	for i, ctrl := range ctrls {
+		out.Runs = append(out.Runs, FaultControllerRun{
+			Controller: ctrl,
+			Healthy:    fleets[2*i],
+			Faulted:    fleets[2*i+1],
+		})
 	}
 	return out, nil
 }

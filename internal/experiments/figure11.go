@@ -35,24 +35,13 @@ func Figure11(o Options) (Figure11Result, error) {
 		governor.TC6ANoC6NoC1E,  // Turbo, AW C6A
 	}}
 	profile := workload.Memcached()
-	points := make([]Figure11Point, len(o.Rates))
-	err := parallelMap(len(o.Rates), func(i int) error {
-		rate := o.Rates[i]
-		p := Figure11Point{RateQPS: rate}
-		for _, cfg := range out.Configs {
-			res, err := o.runService(cfg, profile, rate, 0)
-			if err != nil {
-				return err
-			}
-			p.Results = append(p.Results, res)
-		}
-		points[i] = p
-		return nil
-	})
+	grid, err := o.serviceGrid(profile, o.Rates, out.Configs, nil)
 	if err != nil {
 		return out, err
 	}
-	out.Points = points
+	for i, rate := range o.Rates {
+		out.Points = append(out.Points, Figure11Point{RateQPS: rate, Results: grid[i]})
+	}
 	return out, nil
 }
 

@@ -37,17 +37,12 @@ func serviceEval(o Options, profile workload.Profile, labels []string, rates []f
 	o = o.normalize()
 	out := ServiceEvalResult{Service: profile.Name}
 	vec := power.VectorFromCatalog(cstate.Skylake())
-	points := make([]ServiceEvalPoint, len(rates))
-	err := parallelMap(len(rates), func(i int) error {
-		rate := rates[i]
-		base, err := o.runService(governor.KVBaseline, profile, rate, 0)
-		if err != nil {
-			return err
-		}
-		noC6, err := o.runService(governor.KVNoC6, profile, rate, 0)
-		if err != nil {
-			return err
-		}
+	grid, err := o.serviceGrid(profile, rates, []governor.Config{governor.KVBaseline, governor.KVNoC6}, nil)
+	if err != nil {
+		return out, err
+	}
+	for i, rate := range rates {
+		base, noC6 := grid[i][0], grid[i][1]
 		p := ServiceEvalPoint{Label: labels[i], RateQPS: rate, Baseline: base, NoC6: noC6}
 		p.AvgLatReductionPct = pctOver(base.EndToEnd.AvgUS, noC6.EndToEnd.AvgUS)
 		p.TailLatReductionPct = pctOver(base.EndToEnd.P99US, noC6.EndToEnd.P99US)
@@ -55,13 +50,8 @@ func serviceEval(o Options, profile workload.Profile, labels []string, rates []f
 		p.AvgPReductionPct = power.TurboSavings(
 			noC6.Residency[cstate.C1], noC6.Residency[cstate.C1E],
 			noC6.AvgCorePowerW, vec)
-		points[i] = p
-		return nil
-	})
-	if err != nil {
-		return out, err
+		out.Points = append(out.Points, p)
 	}
-	out.Points = points
 	return out, nil
 }
 

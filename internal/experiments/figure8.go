@@ -51,17 +51,16 @@ func Figure8(o Options) (Figure8Result, error) {
 	cat := cstate.Skylake()
 	vec := power.VectorFromCatalog(cat)
 	var out Figure8Result
-	points := make([]Figure8Point, len(o.Rates))
-	err := parallelMap(len(o.Rates), func(i int) error {
-		rate := o.Rates[i]
-		base, err := o.runService(governor.Baseline, profile, rate, 0)
-		if err != nil {
-			return err
-		}
-		aw, err := o.runService(governor.AW, profile, rate, 0)
-		if err != nil {
-			return err
-		}
+	// Per rate: Baseline and AW, then the Turbo-less baseline pinned at
+	// 2.0 and 2.2 GHz for the scalability study (d).
+	grid, err := o.serviceGrid(profile, o.Rates,
+		[]governor.Config{governor.Baseline, governor.AW, governor.NTBaseline, governor.NTBaseline},
+		[]float64{0, 0, 2.0e9, 2.2e9})
+	if err != nil {
+		return out, err
+	}
+	for i, rate := range o.Rates {
+		base, aw, slow, fast := grid[i][0], grid[i][1], grid[i][2], grid[i][3]
 		p := Figure8Point{RateQPS: rate, Baseline: base, AW: aw}
 
 		// (b) Power reduction via the Eq. 4 methodology: replace C1/C1E
@@ -95,26 +94,12 @@ func Figure8(o Options) (Figure8Result, error) {
 		p.ExpectedServerPct = perQueryUS / serverAvg * 100
 		p.ExpectedE2EPct = perQueryUS / e2eAvg * 100
 
-		// (d) Scalability: rerun the baseline at pinned 2.0 and 2.2 GHz
-		// (Turbo disabled) and compare mean server-side performance.
-		slow, err := o.runService(governor.NTBaseline, profile, rate, 2.0e9)
-		if err != nil {
-			return err
-		}
-		fast, err := o.runService(governor.NTBaseline, profile, rate, 2.2e9)
-		if err != nil {
-			return err
-		}
+		// (d) Scalability: compare mean server-side performance at the
+		// two pinned clocks (Turbo disabled).
 		p.ScalabilityPct = turbo.ScalabilityPercent(
 			1/slow.Server.AvgUS, 1/fast.Server.AvgUS, 2.0e9, 2.2e9)
-
-		points[i] = p
-		return nil
-	})
-	if err != nil {
-		return out, err
+		out.Points = append(out.Points, p)
 	}
-	out.Points = points
 	sum := 0.0
 	for _, p := range out.Points {
 		sum += p.AvgPReductionPct

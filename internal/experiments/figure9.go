@@ -32,24 +32,13 @@ func Figure9(o Options) (Figure9Result, error) {
 		Configs: []governor.Config{governor.NTBaseline, governor.NTNoC6, governor.NTNoC6NoC1E},
 	}
 	profile := workload.Memcached()
-	points := make([]Figure9Point, len(o.Rates))
-	err := parallelMap(len(o.Rates), func(i int) error {
-		rate := o.Rates[i]
-		p := Figure9Point{RateQPS: rate}
-		for _, cfg := range out.Configs {
-			res, err := o.runService(cfg, profile, rate, 0)
-			if err != nil {
-				return err
-			}
-			p.Results = append(p.Results, res)
-		}
-		points[i] = p
-		return nil
-	})
+	grid, err := o.serviceGrid(profile, o.Rates, out.Configs, nil)
 	if err != nil {
 		return out, err
 	}
-	out.Points = points
+	for i, rate := range o.Rates {
+		out.Points = append(out.Points, Figure9Point{RateQPS: rate, Results: grid[i]})
+	}
 	return out, nil
 }
 
@@ -137,19 +126,15 @@ func Figure10(o Options) (Figure10Result, error) {
 	profile := workload.Memcached()
 	cat := cstate.Skylake()
 	vec := power.VectorFromCatalog(cat)
-	points := make([]Figure10Point, len(o.Rates))
-	err := parallelMap(len(o.Rates), func(pi int) error {
-		rate := o.Rates[pi]
-		aw, err := o.runService(governor.AW, profile, rate, 0)
-		if err != nil {
-			return err
-		}
+	// Column 0 is AW, the rest the tuned configs in order.
+	grid, err := o.serviceGrid(profile, o.Rates, append([]governor.Config{governor.AW}, out.Configs...), nil)
+	if err != nil {
+		return out, err
+	}
+	for ri, rate := range o.Rates {
+		aw := grid[ri][0]
 		p := Figure10Point{RateQPS: rate, AW: aw}
-		for _, cfg := range out.Configs {
-			res, err := o.runService(cfg, profile, rate, 0)
-			if err != nil {
-				return err
-			}
+		for _, res := range grid[ri][1:] {
 			// Power reduction via the Sec. 6.2 transform applied to the
 			// tuned config's measured residencies: its C1/C1E time runs
 			// at C6A/C6AE power under AW.
@@ -161,13 +146,8 @@ func Figure10(o Options) (Figure10Result, error) {
 			p.TailLatReductionPct = append(p.TailLatReductionPct,
 				pctOver(res.EndToEnd.P99US, aw.EndToEnd.P99US))
 		}
-		points[pi] = p
-		return nil
-	})
-	if err != nil {
-		return out, err
+		out.Points = append(out.Points, p)
 	}
-	out.Points = points
 	sums := make([]float64, len(out.Configs))
 	for _, p := range out.Points {
 		for i := range out.Configs {

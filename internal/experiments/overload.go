@@ -96,7 +96,9 @@ func Overload(o Options) (OverloadExpResult, error) {
 	if err != nil {
 		return out, err
 	}
-	for _, policy := range cluster.OverloadPolicies() {
+	policies := cluster.OverloadPolicies()
+	runs := make([]OverloadPolicyRun, len(policies))
+	err = parallelMap(len(policies), func(i int) error {
 		res, err := cluster.RunScenario(cluster.ScenarioConfig{
 			Nodes:       nodes,
 			Schedule:    sched,
@@ -104,13 +106,18 @@ func Overload(o Options) (OverloadExpResult, error) {
 			Dispatch:    cluster.DispatchConsolidate,
 			ParkDrained: true,
 			Controller:  o.controllerSpec(cluster.ControllerReactive),
-			Overload:    o.overloadSpec(policy),
+			Overload:    o.overloadSpec(policies[i]),
 		})
 		if err != nil {
-			return out, fmt.Errorf("experiments: overload %s: %w", policy, err)
+			return fmt.Errorf("experiments: overload %s: %w", policies[i], err)
 		}
-		out.Runs = append(out.Runs, OverloadPolicyRun{Policy: policy, Result: res})
+		runs[i] = OverloadPolicyRun{Policy: policies[i], Result: res}
+		return nil
+	})
+	if err != nil {
+		return out, err
 	}
+	out.Runs = runs
 	return out, nil
 }
 

@@ -43,31 +43,19 @@ func RaceToHalt(o Options) (RaceToHaltResult, error) {
 	raceC1 := governor.Config{Name: "Race_P1_C1", Menu: []cstate.ID{cstate.C1}}
 	raceAW := governor.Config{Name: "Race_P1_C6A", AgileWatts: true, Menu: []cstate.ID{cstate.C6A}}
 
-	points := make([]RaceToHaltPoint, len(o.Rates))
-	err := parallelMap(len(o.Rates), func(i int) error {
-		rate := o.Rates[i]
-		p := RaceToHaltPoint{RateQPS: rate}
-		var err error
-		// Pace: pin the clock to Pn. (The C0 power curve then yields ~1W.)
-		if p.Pace, err = o.runService(pace, profile, rate, 0.8e9); err != nil {
-			return err
-		}
-		if p.RaceC1, err = o.runService(raceC1, profile, rate, 0); err != nil {
-			return err
-		}
-		if p.RaceAW, err = o.runService(raceAW, profile, rate, 0); err != nil {
-			return err
-		}
-		p.PaceMJ = energyPerRequestMJ(p.Pace)
-		p.RaceC1MJ = energyPerRequestMJ(p.RaceC1)
-		p.RaceAWMJ = energyPerRequestMJ(p.RaceAW)
-		points[i] = p
-		return nil
-	})
+	// Pace pins the clock to Pn (the C0 power curve then yields ~1W).
+	grid, err := o.serviceGrid(profile, o.Rates,
+		[]governor.Config{pace, raceC1, raceAW}, []float64{0.8e9, 0, 0})
 	if err != nil {
 		return out, err
 	}
-	out.Points = points
+	for i, rate := range o.Rates {
+		p := RaceToHaltPoint{RateQPS: rate, Pace: grid[i][0], RaceC1: grid[i][1], RaceAW: grid[i][2]}
+		p.PaceMJ = energyPerRequestMJ(p.Pace)
+		p.RaceC1MJ = energyPerRequestMJ(p.RaceC1)
+		p.RaceAWMJ = energyPerRequestMJ(p.RaceAW)
+		out.Points = append(out.Points, p)
+	}
 	return out, nil
 }
 

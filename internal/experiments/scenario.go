@@ -127,12 +127,16 @@ func Scenario(o Options) (ScenarioExpResult, error) {
 		}
 		return res, nil
 	}
-	if out.Baseline, err = fleet(governor.Baseline); err != nil {
+	platforms := []governor.Config{governor.Baseline, governor.AW}
+	fleets := make([]cluster.ScenarioResult, len(platforms))
+	err = parallelMap(len(platforms), func(i int) (err error) {
+		fleets[i], err = fleet(platforms[i])
+		return err
+	})
+	if err != nil {
 		return out, err
 	}
-	if out.AW, err = fleet(governor.AW); err != nil {
-		return out, err
-	}
+	out.Baseline, out.AW = fleets[0], fleets[1]
 	return out, nil
 }
 
@@ -336,37 +340,51 @@ func ScenarioControllers(o Options) (ScenarioControllerResult, error) {
 		}
 		return res, nil
 	}
-	for _, name := range []string{scenario.NameDiurnal, scenario.NameSpike} {
-		sched, err := scenario.ByName(name, ctrlScenarioQPSPerNode*float64(o.Nodes), total)
-		if err != nil {
+	names := []string{scenario.NameDiurnal, scenario.NameSpike}
+	scheds := make([]*scenario.Schedule, len(names))
+	for i, name := range names {
+		var err error
+		if scheds[i], err = scenario.ByName(name, ctrlScenarioQPSPerNode*float64(o.Nodes), total); err != nil {
 			return out, err
 		}
-		for _, ctrl := range cluster.Controllers() {
-			run := ControllerScenarioRun{Schedule: name, Controller: ctrl}
-			if run.Baseline, err = fleet(governor.Baseline, sched, ctrl); err != nil {
-				return out, err
-			}
-			if run.AW, err = fleet(governor.AW, sched, ctrl); err != nil {
-				return out, err
-			}
-			delta := run.Baseline.AvgFleetPowerW - run.AW.AvgFleetPowerW
-			if run.SavingsPerYearM, err = model.YearlySavingsMeasuredFleetM(delta, o.Nodes); err != nil {
-				return out, err
-			}
-			if bci, aci := run.Baseline.CI, run.AW.CI; bci != nil && aci != nil {
-				// Conservative interval difference: the delta's bounds pair
-				// each fleet's CI endpoints worst-case.
-				if run.SavingsLoM, err = model.YearlySavingsMeasuredFleetM(
-					bci.FleetPowerW.Lo-aci.FleetPowerW.Hi, o.Nodes); err != nil {
-					return out, err
-				}
-				if run.SavingsHiM, err = model.YearlySavingsMeasuredFleetM(
-					bci.FleetPowerW.Hi-aci.FleetPowerW.Lo, o.Nodes); err != nil {
-					return out, err
-				}
-			}
-			out.Runs = append(out.Runs, run)
+	}
+	// One flat fan-out over schedule x controller x platform; fleets[2k]
+	// and fleets[2k+1] are run k's Baseline and AW.
+	ctrls := cluster.Controllers()
+	platforms := []governor.Config{governor.Baseline, governor.AW}
+	fleets := make([]cluster.ScenarioResult, len(names)*len(ctrls)*len(platforms))
+	err := parallelMap(len(fleets), func(t int) (err error) {
+		run, pi := t/len(platforms), t%len(platforms)
+		fleets[t], err = fleet(platforms[pi], scheds[run/len(ctrls)], ctrls[run%len(ctrls)])
+		return err
+	})
+	if err != nil {
+		return out, err
+	}
+	for k := 0; k < len(names)*len(ctrls); k++ {
+		run := ControllerScenarioRun{
+			Schedule:   names[k/len(ctrls)],
+			Controller: ctrls[k%len(ctrls)],
+			Baseline:   fleets[2*k],
+			AW:         fleets[2*k+1],
 		}
+		delta := run.Baseline.AvgFleetPowerW - run.AW.AvgFleetPowerW
+		if run.SavingsPerYearM, err = model.YearlySavingsMeasuredFleetM(delta, o.Nodes); err != nil {
+			return out, err
+		}
+		if bci, aci := run.Baseline.CI, run.AW.CI; bci != nil && aci != nil {
+			// Conservative interval difference: the delta's bounds pair
+			// each fleet's CI endpoints worst-case.
+			if run.SavingsLoM, err = model.YearlySavingsMeasuredFleetM(
+				bci.FleetPowerW.Lo-aci.FleetPowerW.Hi, o.Nodes); err != nil {
+				return out, err
+			}
+			if run.SavingsHiM, err = model.YearlySavingsMeasuredFleetM(
+				bci.FleetPowerW.Hi-aci.FleetPowerW.Lo, o.Nodes); err != nil {
+				return out, err
+			}
+		}
+		out.Runs = append(out.Runs, run)
 	}
 	return out, nil
 }

@@ -86,7 +86,10 @@ func (c *shardedCache[V]) do(key []byte, fn func() (V, error)) (v V, err error, 
 // Runner executes simulations with bounded parallelism and memoization.
 // The zero value is not usable; construct with New.
 type Runner struct {
-	sem chan struct{}
+	// helpers holds one token per running Each helper goroutine; its
+	// capacity is parallelism-1, the calling goroutine being the last
+	// worker.
+	helpers chan struct{}
 
 	cache  *shardedCache[server.Result]
 	tcache *shardedCache[[]server.IntervalResult]
@@ -118,9 +121,9 @@ func New(parallelism int) *Runner {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
 	return &Runner{
-		sem:    make(chan struct{}, parallelism),
-		cache:  newShardedCache[server.Result](),
-		tcache: newShardedCache[[]server.IntervalResult](),
+		helpers: make(chan struct{}, parallelism-1),
+		cache:   newShardedCache[server.Result](),
+		tcache:  newShardedCache[[]server.IntervalResult](),
 	}
 }
 
@@ -326,46 +329,65 @@ func runTimeline(spec TimelineSpec) ([]server.IntervalResult, error) {
 	return out, nil
 }
 
-// Each runs fn(0..n-1) with bounded parallelism. A failure
-// short-circuits the fan-out: tasks not yet started are skipped once
-// any task has returned an error, so a failing node does not leave a
-// fleet of doomed simulations running to completion behind it.
-// (Already-running tasks finish; simulations have no preemption
+// Each runs fn(0..n-1) with bounded parallelism and may be called from
+// inside fn, so a task can fan out its own independent work. The calling
+// goroutine is itself a worker: it and any helpers claim tasks in index
+// order from a shared counter. A helper starts only while one of the
+// Runner's parallelism-1 helper slots is free, and the slot is taken
+// without blocking, so a nested Each never waits on the pool: with no
+// slot free its caller runs the tasks itself. A top-level Each called
+// from one goroutine therefore runs at most parallelism tasks at once
+// (New(1) is fully serial); with several top-level callers, up to
+// callers + parallelism-1 run at once.
+//
+// A failure short-circuits the fan-out: tasks not yet claimed are
+// skipped once any task has returned an error, so a failing node does
+// not leave a fleet of doomed simulations running to completion behind
+// it. (Already-running tasks finish; simulations have no preemption
 // points.) On failure Each returns the lowest-indexed error among the
 // tasks that actually ran — with several near-simultaneous failures,
 // which tasks ran (and hence which error surfaces) is
 // scheduling-dependent; only the success/failure outcome is
-// deterministic. It replaces the per-experiment ad-hoc parallelMap
-// helpers; each simulation is an isolated Sim with its own RNG
-// streams, so sweep points parallelize safely. fn must not call Each
-// on the same Runner (the parallelism bound would deadlock); calling
-// Run or RunTimeline is fine.
+// deterministic. Each simulation is an isolated Sim with its own RNG
+// streams, so sweep points parallelize safely.
 func (r *Runner) Each(n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	var wg sync.WaitGroup
-	var failed atomic.Bool
+	var (
+		wg     sync.WaitGroup
+		next   atomic.Int64
+		failed atomic.Bool
+	)
 	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		if failed.Load() {
-			break
-		}
-		wg.Add(1)
-		r.sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-r.sem }()
-			// Re-check after the (possibly long) semaphore wait.
-			if failed.Load() {
+	var work func()
+	work = func() {
+		for !failed.Load() {
+			i := int(next.Add(1) - 1)
+			if i >= n {
 				return
+			}
+			// Offer the tasks after this one to a helper, if a slot is
+			// free.
+			if i+1 < n {
+				select {
+				case r.helpers <- struct{}{}:
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						defer func() { <-r.helpers }()
+						work()
+					}()
+				default:
+				}
 			}
 			if err := fn(i); err != nil {
 				errs[i] = err
 				failed.Store(true)
 			}
-		}(i)
+		}
 	}
+	work()
 	wg.Wait()
 	for _, e := range errs {
 		if e != nil {

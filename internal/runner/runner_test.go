@@ -3,9 +3,11 @@ package runner
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/cstate"
 	"repro/internal/governor"
@@ -294,6 +296,70 @@ func TestEachShortCircuitsOnFailure(t *testing.T) {
 	if n := ran.Load(); n > 4 {
 		t.Errorf("%d of 64 tasks ran after the failure, want short-circuit", n)
 	}
+}
+
+// TestEachNests pins the nesting contract: a task may call Each on its
+// own Runner. At every parallelism the nested fan-out finishes (it never
+// waits on the pool), a tree started from one goroutine never runs more
+// than parallelism outer or inner tasks at once, and an inner task's
+// error surfaces from the outer Each.
+func TestEachNests(t *testing.T) {
+	for _, p := range []int{1, 2, 3} {
+		t.Run(fmt.Sprintf("parallelism-%d", p), func(t *testing.T) {
+			r := New(p)
+			var outer, inner gauge
+			nested := func(failAt int) error {
+				done := make(chan error, 1)
+				go func() {
+					done <- r.Each(6, func(i int) error {
+						defer outer.enter()()
+						return r.Each(8, func(j int) error {
+							defer inner.enter()()
+							time.Sleep(200 * time.Microsecond)
+							if i*8+j == failAt {
+								return fmt.Errorf("task %d.%d failed", i, j)
+							}
+							return nil
+						})
+					})
+				}()
+				select {
+				case err := <-done:
+					return err
+				case <-time.After(30 * time.Second):
+					t.Fatal("nested Each did not finish within 30s")
+					return nil
+				}
+			}
+			if err := nested(-1); err != nil {
+				t.Fatal(err)
+			}
+			if o, i := outer.peak.Load(), inner.peak.Load(); o > int64(p) || i > int64(p) {
+				t.Fatalf("peak %d outer / %d inner tasks in flight, bound %d", o, i, p)
+			}
+			if p > 1 && inner.peak.Load() < 2 {
+				t.Errorf("nested fan-out never ran two tasks at once at parallelism %d", p)
+			}
+			if err := nested(4*8 + 5); err == nil || err.Error() != "task 4.5 failed" {
+				t.Fatalf("inner error not propagated: %v", err)
+			}
+		})
+	}
+}
+
+// gauge tracks how many tasks are in flight and the peak of that count.
+type gauge struct{ now, peak atomic.Int64 }
+
+// enter counts one task in and returns the func that counts it out.
+func (g *gauge) enter() func() {
+	n := g.now.Add(1)
+	for {
+		p := g.peak.Load()
+		if n <= p || g.peak.CompareAndSwap(p, n) {
+			break
+		}
+	}
+	return func() { g.now.Add(-1) }
 }
 
 // TestClassStatsAccumulate pins the class-dedup accounting: counters

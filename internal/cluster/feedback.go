@@ -39,19 +39,28 @@ type liveClass struct {
 	rate float64
 	// fault is the current epoch's fault annotation.
 	fault runner.Fault
+	// hist caches the checkpoint encoding of intervals and results (see
+	// Live.Snapshot). Only the class owning the history keeps it: a
+	// split-off copy or a fork starts empty and encodes its own.
+	hist encodedHistory
 }
 
-// initialLiveClasses collapses the fleet by base node key: before any
-// rates diverge, nodes with equal configurations (and the shared park
-// flag) are bit-identical simulations. Uncacheable nodes cannot prove
+// initialGroups collapses the fleet by base node key: before any rates
+// diverge, nodes with equal configurations (and the shared park flag)
+// are bit-identical simulations. Uncacheable nodes cannot prove
 // equivalence by key and stay singletons, as runner.TimelineKey refuses
-// them. Each class gets its representative's fresh cursor, built in
-// parallel like an epoch's fan-out.
-func initialLiveClasses(c resolvedScenario, r *runner.Runner) ([]*liveClass, error) {
+// them. Every later class descends from one of these groups and runs
+// its first member's config.
+func initialGroups(c resolvedScenario) [][]int {
 	var keys runner.KeyEncoder
-	groups := groupByKey(len(c.Nodes), func(buf []byte, i int) ([]byte, bool) {
+	return groupByKey(len(c.Nodes), func(buf []byte, i int) ([]byte, bool) {
 		return keys.AppendKey(buf, &c.Nodes[i])
 	})
+}
+
+// initialLiveClasses gives each initial group its representative's
+// fresh cursor, built in parallel like an epoch's fan-out.
+func initialLiveClasses(c resolvedScenario, r *runner.Runner, groups [][]int) ([]*liveClass, error) {
 	classes := make([]*liveClass, len(groups))
 	err := r.Each(len(groups), func(ci int) error {
 		members := groups[ci]
@@ -133,6 +142,7 @@ func splitByRate(classes []*liveClass, rates []float64, faults []runner.Fault) [
 				sub.ins = cl.ins
 				sub.intervals = cl.intervals
 				sub.results = cl.results
+				sub.hist = cl.hist
 			} else {
 				sub.ins = cl.ins.Clone()
 				sub.intervals = append([]runner.Interval(nil), cl.intervals...)

@@ -1,14 +1,12 @@
 package cluster
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 
 	"repro/internal/runner"
 	"repro/internal/server"
 	"repro/internal/sim"
-	"repro/internal/snapbuf"
 )
 
 // Live is a warm fleet scenario stepped one epoch at a time under
@@ -46,21 +44,36 @@ type Live struct {
 	forced   []bool
 	tels     []FleetTelemetry
 	epoch    int
+	// snapLen is the length of the last checkpoint, the next one's
+	// starting buffer capacity; hist caches the epoch records' encoding
+	// (see Snapshot).
+	snapLen int
+	hist    encodedHistory
 }
 
 // NewLive builds the steppable fleet for the scenario config. Every
 // config RunScenario accepts is steppable.
 func NewLive(cfg ScenarioConfig) (*Live, error) {
+	l, err := newLive(cfg)
+	if err != nil {
+		return nil, err
+	}
+	l.ctrl = l.makeController()
+	if l.classes, err = initialLiveClasses(l.c, l.r, initialGroups(l.c)); err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
+// newLive builds a fleet with its plan and admission state but no
+// classes and no controller yet: what NewLive starts from and what
+// RestoreLive decodes into.
+func newLive(cfg ScenarioConfig) (*Live, error) {
 	p, err := newScenarioPlan(cfg)
 	if err != nil {
 		return nil, err
 	}
-	l := &Live{scenarioPlan: p, adm: p.c.newAdmission()}
-	l.ctrl = l.makeController()
-	if l.classes, err = initialLiveClasses(p.c, p.r); err != nil {
-		return nil, err
-	}
-	return l, nil
+	return &Live{scenarioPlan: p, adm: p.c.newAdmission()}, nil
 }
 
 // makeController builds the configured controller, or nil for
@@ -104,8 +117,8 @@ func (l *Live) Telemetry() (FleetTelemetry, bool) {
 
 // History returns a copy of the fleet samples for every completed
 // epoch, in epoch order — the stream a monitoring frontend replays
-// after attaching mid-run (or after a restore, whose re-stepped epochs
-// land here exactly as the original run recorded them).
+// after attaching mid-run (or after a restore, which decodes the
+// samples exactly as the original run recorded them).
 func (l *Live) History() []FleetTelemetry {
 	out := make([]FleetTelemetry, l.epoch)
 	copy(out, l.tels[:l.epoch])
@@ -310,201 +323,4 @@ func (l *Live) rebuildController() Controller {
 		}
 	}
 	return ctrl
-}
-
-// liveSnapshotVersion versions the fleet checkpoint document. Same
-// policy as the instance format: bumped on any encoding or replay-
-// equivalence change, no cross-version migration. Version 2 added the
-// overload admission policy to the identity block. Version 3 keeps the
-// encoding but replays differently: an unforced open-loop or oracle
-// epoch after a forced one now admits against the backlog the forced
-// epoch left, not against a precomputed plan's.
-const liveSnapshotVersion = 3
-
-// Snapshot checkpoints the fleet: an identity block naming the
-// scenario shape (restore rejects a mismatched config), the decision
-// history (per-epoch targets and which were forced), and a per-class
-// verification block with each representative's full instance
-// snapshot. RestoreLive re-steps the scenario deterministically and
-// then proves byte-equality of every rebuilt instance against the
-// captured ones, so a checkpoint can never silently restore onto a
-// diverged simulator or a different scenario file.
-func (l *Live) Snapshot() ([]byte, error) {
-	var e snapbuf.Encoder
-	e.U8(liveSnapshotVersion)
-
-	// Identity block.
-	e.I64(int64(len(l.c.Nodes)))
-	e.I64(int64(len(l.plan)))
-	e.I64(int64(l.c.total))
-	e.I64(int64(l.c.Epoch))
-	e.Str(l.c.Schedule.Name())
-	e.Str(l.c.Dispatch)
-	e.Str(l.c.Controller.Name)
-	e.Bool(l.c.ParkDrained)
-	e.Bool(l.c.CompactNodes)
-	e.I64(int64(l.c.Replicas))
-	e.Str(l.c.Overload.Policy)
-	e.F64(l.c.Overload.MaxUtil)
-	e.F64(l.c.Overload.MaxBacklogSec)
-
-	// Decision history.
-	e.I64(int64(l.epoch))
-	for i := 0; i < l.epoch; i++ {
-		e.I64(int64(l.targets[i]))
-		e.Bool(l.forced[i])
-	}
-
-	// Per-class verification block.
-	e.I64(int64(len(l.classes)))
-	for _, cl := range l.classes {
-		e.I64(int64(cl.rep))
-		e.I64(int64(len(cl.members)))
-		e.Bool(cl.ins.Down())
-		e.I64(int64(cl.ins.Restarts()))
-		if ins := cl.ins.Instance(); ins != nil {
-			blob, err := ins.Snapshot()
-			if err != nil {
-				return nil, fmt.Errorf("cluster: snapshot: node %d: %w", cl.rep, err)
-			}
-			e.Bytes(blob)
-		} else {
-			e.Bytes(nil) // crashed: no warm state to capture
-		}
-	}
-	return e.Buf, nil
-}
-
-// RestoreLive rebuilds a fleet checkpoint taken by Live.Snapshot. The
-// caller supplies the same ScenarioConfig the checkpoint was taken
-// under (the daemon holds the scenario file; the payload carries only
-// an identity block to reject mismatches). The decision history is
-// re-stepped through the normal engine — deterministic replay — and
-// every rebuilt class representative is verified byte-for-byte against
-// its captured instance snapshot.
-func RestoreLive(cfg ScenarioConfig, data []byte) (*Live, error) {
-	d := snapbuf.NewDecoder(data)
-	if v := d.U8(); d.Err() == nil && v != liveSnapshotVersion {
-		return nil, fmt.Errorf("cluster: restore: unknown fleet snapshot version %d (want %d)", v, liveSnapshotVersion)
-	}
-	l, err := NewLive(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: restore: %w", err)
-	}
-
-	// Identity block.
-	type ident struct {
-		nodes, plan          int64
-		total, epoch         int64
-		sched, disp          string
-		ctrl                 string
-		park, compact        bool
-		replicas             int64
-		overload             string
-		maxUtil, maxBacklogS float64
-	}
-	got := ident{
-		nodes: int64(len(l.c.Nodes)), plan: int64(len(l.plan)),
-		total: int64(l.c.total), epoch: int64(l.c.Epoch),
-		sched: l.c.Schedule.Name(), disp: l.c.Dispatch,
-		ctrl: l.c.Controller.Name, park: l.c.ParkDrained,
-		compact: l.c.CompactNodes, replicas: int64(l.c.Replicas),
-		overload: l.c.Overload.Policy, maxUtil: l.c.Overload.MaxUtil,
-		maxBacklogS: l.c.Overload.MaxBacklogSec,
-	}
-	want := ident{
-		nodes: d.I64(), plan: d.I64(), total: d.I64(), epoch: d.I64(),
-		sched: d.Str(), disp: d.Str(), ctrl: d.Str(),
-		park: d.Bool(), compact: d.Bool(), replicas: d.I64(),
-		overload: d.Str(), maxUtil: d.F64(), maxBacklogS: d.F64(),
-	}
-	if d.Err() == nil && got != want {
-		return nil, fmt.Errorf("cluster: restore: scenario config does not match the checkpoint (have %+v, checkpoint %+v)", got, want)
-	}
-
-	// Decision history.
-	nEpochs := d.I64()
-	if d.Err() == nil && (nEpochs < 0 || nEpochs > int64(len(l.plan))) {
-		return nil, fmt.Errorf("cluster: restore: checkpoint has %d epochs, plan has %d", nEpochs, len(l.plan))
-	}
-	targets := make([]int, 0, nEpochs)
-	forced := make([]bool, 0, nEpochs)
-	for i := int64(0); i < nEpochs && d.Err() == nil; i++ {
-		targets = append(targets, int(d.I64()))
-		forced = append(forced, d.Bool())
-	}
-
-	// Verification block (decoded fully before any replay runs, so a
-	// truncated payload is rejected without burning simulation time).
-	type classCheck struct {
-		rep, members, restarts int64
-		down                   bool
-		blob                   []byte
-	}
-	nClasses := d.I64()
-	if d.Err() == nil && (nClasses < 0 || nClasses > int64(len(l.c.Nodes))) {
-		return nil, fmt.Errorf("cluster: restore: implausible class count %d for a %d-node fleet", nClasses, len(l.c.Nodes))
-	}
-	checks := make([]classCheck, 0, nClasses)
-	for i := int64(0); i < nClasses && d.Err() == nil; i++ {
-		c := classCheck{rep: d.I64(), members: d.I64()}
-		c.down = d.Bool()
-		c.restarts = d.I64()
-		c.blob = d.Bytes()
-		checks = append(checks, c)
-	}
-	if err := d.Close(); err != nil {
-		return nil, fmt.Errorf("cluster: restore: %w", err)
-	}
-
-	// Deterministic re-step: forced epochs replay their recorded target,
-	// unforced epochs re-derive theirs (controller or whole fleet) — and must
-	// land on the recorded value, or the simulator/scenario has diverged
-	// from the checkpoint.
-	for e := 0; e < len(targets); e++ {
-		var err error
-		if forced[e] {
-			_, err = l.StepTarget(targets[e])
-		} else {
-			_, err = l.Step()
-		}
-		if err != nil {
-			return nil, fmt.Errorf("cluster: restore: replay epoch %d: %w", e, err)
-		}
-		if l.targets[e] != targets[e] {
-			return nil, fmt.Errorf("cluster: restore: replay epoch %d chose target %d, checkpoint recorded %d (simulator changed since capture?)",
-				e, l.targets[e], targets[e])
-		}
-	}
-
-	// Class-structure and instance-state verification.
-	if len(l.classes) != len(checks) {
-		return nil, fmt.Errorf("cluster: restore: replay produced %d classes, checkpoint recorded %d (simulator changed since capture?)",
-			len(l.classes), len(checks))
-	}
-	for ci, cl := range l.classes {
-		ck := checks[ci]
-		if int64(cl.rep) != ck.rep || int64(len(cl.members)) != ck.members {
-			return nil, fmt.Errorf("cluster: restore: class %d is node %d x%d, checkpoint recorded node %d x%d (simulator changed since capture?)",
-				ci, cl.rep, len(cl.members), ck.rep, ck.members)
-		}
-		if cl.ins.Down() != ck.down || int64(cl.ins.Restarts()) != ck.restarts {
-			return nil, fmt.Errorf("cluster: restore: class %d crash state diverged from the checkpoint (simulator changed since capture?)", ci)
-		}
-		ins := cl.ins.Instance()
-		if ins == nil {
-			if len(ck.blob) != 0 {
-				return nil, fmt.Errorf("cluster: restore: class %d replayed as crashed but the checkpoint captured warm state", ci)
-			}
-			continue
-		}
-		blob, err := ins.Snapshot()
-		if err != nil {
-			return nil, fmt.Errorf("cluster: restore: class %d: %w", ci, err)
-		}
-		if !bytes.Equal(blob, ck.blob) {
-			return nil, fmt.Errorf("cluster: restore: class %d instance state diverged from the checkpoint (simulator changed since capture?)", ci)
-		}
-	}
-	return l, nil
 }

@@ -13,46 +13,31 @@ import (
 	"repro/internal/workload"
 )
 
-// TestLiveForkMatchesRestoreReference pins cloning forks against the
-// replay reference: at every epoch boundary of a shared-seed, reactive
-// fleet whose classes split, with a crash, a straggler and the queue
-// overload policy, a fresh Fork must snapshot byte-equal to its parent,
-// and the fork and RestoreLive of the parent's snapshot (which rebuilds
-// every node by replaying its history) must produce DeepEqual futures
-// under the same StepTarget-then-Step sequence.
+// TestLiveForkMatchesRestoreReference pins cloning forks and decoded
+// restores against the replay reference: at every epoch boundary of a
+// shared-seed, reactive fleet whose classes split, with a crash, a
+// straggler and the queue overload policy, a fresh Fork and RestoreLive
+// of the parent's checkpoint must snapshot byte-equal to a fresh Live
+// re-stepped through the parent's recorded decisions (replayLive), and
+// all three must produce DeepEqual futures under the same
+// StepTarget-then-Step sequence.
 func TestLiveForkMatchesRestoreReference(t *testing.T) {
-	node := quickNode(0)
-	node.Warmup = 5 * sim.Millisecond
-	total := 160 * sim.Millisecond
-	cfg := ScenarioConfig{
-		Nodes:       sharedFleet(4, node),
-		Schedule:    mustSchedule(scenario.Diurnal(2e6, 0.6, total, 8)),
-		Epoch:       total / 8,
-		Dispatch:    DispatchConsolidate,
-		ParkDrained: true,
-		Controller:  ControllerSpec{Name: ControllerReactive},
-		Faults: FaultSpec{Nodes: []NodeFault{
-			{Node: 1, Kind: FaultCrash, Start: 40 * sim.Millisecond, End: 80 * sim.Millisecond},
-			{Node: 2, Kind: FaultStraggler, Start: 20 * sim.Millisecond, End: 60 * sim.Millisecond, Factor: 3},
-		}},
-		Overload: OverloadSpec{Policy: OverloadQueue},
-	}
+	cfg := fuzzLiveScenario()
 	parent := mustLive(t, cfg)
 	initial, split := len(parent.classes), false
 	for !parent.Done() {
-		blob, err := parent.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		fork := parent.Fork()
-		if fblob, err := fork.Snapshot(); err != nil {
-			t.Fatal(err)
-		} else if !bytes.Equal(fblob, blob) {
-			t.Fatalf("epoch %d: a fresh fork's snapshot differs from its parent's", parent.Epoch())
-		}
-		ref, err := RestoreLive(cfg, blob)
+		blob := mustSnapshot(t, parent)
+		ref := mustLive(t, cfg)
+		replayLive(t, ref, parent)
+		restored, err := RestoreLive(cfg, blob)
 		if err != nil {
 			t.Fatalf("epoch %d: %v", parent.Epoch(), err)
+		}
+		fork := parent.Fork()
+		for name, l := range map[string]*Live{"replay": ref, "fork": fork, "restore": restored} {
+			if !bytes.Equal(mustSnapshot(t, l), blob) {
+				t.Fatalf("epoch %d: the %s's snapshot differs from its parent's", parent.Epoch(), name)
+			}
 		}
 		future := func(l *Live) ([]FleetTelemetry, ScenarioResult) {
 			tel, err := l.StepTarget(1)
@@ -69,13 +54,15 @@ func TestLiveForkMatchesRestoreReference(t *testing.T) {
 			}
 			return tels, mustResult(t, l)
 		}
-		ftel, fres := future(fork)
 		rtel, rres := future(ref)
-		if !reflect.DeepEqual(ftel, rtel) {
-			t.Errorf("epoch %d: fork telemetry diverged from the restore reference\n fork %+v\n  ref %+v", parent.Epoch(), ftel, rtel)
-		}
-		if !reflect.DeepEqual(fres, rres) {
-			t.Errorf("epoch %d: fork result diverged from the restore reference\n fork %+v\n  ref %+v", parent.Epoch(), fres, rres)
+		for name, l := range map[string]*Live{"fork": fork, "restore": restored} {
+			tel, res := future(l)
+			if !reflect.DeepEqual(tel, rtel) {
+				t.Errorf("epoch %d: %s telemetry diverged from the replay reference\n%s %+v\n ref %+v", parent.Epoch(), name, name, tel, rtel)
+			}
+			if !reflect.DeepEqual(res, rres) {
+				t.Errorf("epoch %d: %s result diverged from the replay reference\n%s %+v\n ref %+v", parent.Epoch(), name, name, res, rres)
+			}
 		}
 		if _, err := parent.Step(); err != nil {
 			t.Fatal(err)
@@ -141,8 +128,9 @@ func BenchmarkLiveFork(b *testing.B) {
 }
 
 // BenchmarkRestoreLive measures a checkpoint restore of the twin-shaped
-// fleet taken at epoch 120: decode, the O(history) deterministic
-// re-step, and the per-class snapshot verification.
+// fleet taken at epoch 120: the checksum, the decode of the recorded
+// epochs and measurements, and every class's node rebuilt from its
+// config with its warm state decoded over it.
 func BenchmarkRestoreLive(b *testing.B) {
 	b.Run("twin-120", func(b *testing.B) {
 		cfg := twinScenario(256 * sim.Millisecond)
@@ -167,4 +155,35 @@ func BenchmarkRestoreLive(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkLiveSnapshot measures one fleet checkpoint of the twin-shaped
+// fleet after 120 and 240 epochs, reporting the payload size: the
+// document carries every class's realized measurements, so it grows
+// with history while the warm node state does not.
+func BenchmarkLiveSnapshot(b *testing.B) {
+	for _, history := range []int{120, 240} {
+		b.Run(fmt.Sprintf("twin-%d", history), func(b *testing.B) {
+			l, err := NewLive(twinScenario(256 * sim.Millisecond))
+			if err != nil {
+				b.Fatal(err)
+			}
+			for l.Epoch() < history {
+				if _, err := l.Step(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var size int
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				snap, err := l.Snapshot()
+				if err != nil {
+					b.Fatal(err)
+				}
+				size = len(snap)
+			}
+			b.ReportMetric(float64(size), "bytes")
+		})
+	}
 }

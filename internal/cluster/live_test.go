@@ -1,13 +1,18 @@
 package cluster
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/scenario"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // liveScenario is the shared live-engine fixture: a 4-node fleet under
@@ -184,11 +189,126 @@ func TestLiveStepTargetWhatIf(t *testing.T) {
 	}
 }
 
-// TestLiveSnapshotRestore pins the fleet checkpoint: a fleet restored
-// from a mid-scenario snapshot replays the remaining epochs
-// bit-identically to the uninterrupted original, on open-loop,
-// controlled and faulted runs.
+// replayLive is the restore reference: it steps ref, a fresh Live of
+// src's scenario (or one already replayed part of the way), through
+// src's recorded decisions up to src's epoch. A forced epoch replays
+// its recorded target, an unforced one steps and must land on the
+// recorded target. A checkpoint of src must decode to exactly ref.
+func replayLive(t testing.TB, ref, src *Live) {
+	t.Helper()
+	for e := ref.Epoch(); e < src.Epoch(); e++ {
+		var err error
+		if src.forced[e] {
+			_, err = ref.StepTarget(src.targets[e])
+		} else {
+			_, err = ref.Step()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref.targets[e] != src.targets[e] {
+			t.Fatalf("replay epoch %d chose target %d, the run chose %d", e, ref.targets[e], src.targets[e])
+		}
+	}
+}
+
+func mustSnapshot(t testing.TB, l *Live) []byte {
+	t.Helper()
+	blob, err := l.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// checkCheckpoints drives cfg through script (per epoch, a forced
+// target, or -1 for an unforced Step). At every epoch boundary the
+// running fleet, a fresh Fork, RestoreLive of its checkpoint and the
+// replay reference must snapshot byte-equal. From each boundary the
+// fork and the restore run the rest of the script, and every final
+// Result and telemetry history must equal the running fleet's.
+func checkCheckpoints(t *testing.T, cfg ScenarioConfig, script []int) {
+	t.Helper()
+	step := func(l *Live) {
+		t.Helper()
+		var err error
+		if target := script[l.Epoch()]; target >= 0 {
+			_, err = l.StepTarget(target)
+		} else {
+			_, err = l.Step()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	orig, ref := mustLive(t, cfg), mustLive(t, cfg)
+	if len(script) != orig.Epochs() {
+		t.Fatalf("script has %d epochs, the plan %d", len(script), orig.Epochs())
+	}
+	type branch struct {
+		name string
+		from int
+		l    *Live
+	}
+	var branches []branch
+	for {
+		e := orig.Epoch()
+		replayLive(t, ref, orig)
+		blob := mustSnapshot(t, orig)
+		restored, err := RestoreLive(cfg, blob)
+		if err != nil {
+			t.Fatalf("epoch %d: %v", e, err)
+		}
+		fork := orig.Fork()
+		for _, b := range []branch{{"replay", e, ref}, {"fork", e, fork}, {"restore", e, restored}} {
+			if !bytes.Equal(mustSnapshot(t, b.l), blob) {
+				t.Fatalf("epoch %d: the %s's snapshot differs from the running fleet's", e, b.name)
+			}
+		}
+		branches = append(branches, branch{"fork", e, fork}, branch{"restore", e, restored})
+		if orig.Done() {
+			break
+		}
+		step(orig)
+	}
+	want, history := mustResult(t, orig), orig.History()
+	if !reflect.DeepEqual(mustResult(t, ref), want) {
+		t.Error("the replay reference's result differs from the running fleet's")
+	}
+	for _, b := range branches {
+		for !b.l.Done() {
+			step(b.l)
+		}
+		if !reflect.DeepEqual(mustResult(t, b.l), want) {
+			t.Errorf("the %s taken at epoch %d finished with a different result\n got %+v\nwant %+v", b.name, b.from, mustResult(t, b.l), want)
+		}
+		if !reflect.DeepEqual(b.l.History(), history) {
+			t.Errorf("the %s taken at epoch %d finished with a different telemetry history", b.name, b.from)
+		}
+	}
+}
+
+// checkpointScenario is liveScenario on eight-core nodes at a third of
+// the load: the fleet still parks, unparks and splits, at a fraction of
+// the events, so the checkpoint tests can afford every epoch boundary.
+func checkpointScenario() ScenarioConfig {
+	cfg := liveScenario()
+	node := cfg.Nodes[0]
+	node.Cores = 8
+	cfg.Nodes = Homogeneous(len(cfg.Nodes), node)
+	cfg.Schedule = mustSchedule(scenario.Diurnal(7e5, 0.6, 160*sim.Millisecond, 8))
+	return cfg
+}
+
+// TestLiveSnapshotRestore pins the fleet checkpoint against the replay
+// reference (checkCheckpoints) at every epoch boundary: open-loop,
+// controlled, a crash that leaves a class down, a straggler under the
+// queue overload policy, replica error bars, and the Kafka profile's
+// stateful MMPP2 arrivals on a shared-seed fleet whose classes split.
+// Every script forces two epochs, so forced and unforced decisions both
+// cross a checkpoint.
 func TestLiveSnapshotRestore(t *testing.T) {
+	script := []int{-1, -1, 1, -1, -1, 2, -1, -1}
 	for _, tc := range []struct {
 		name string
 		mut  func(*ScenarioConfig)
@@ -200,42 +320,40 @@ func TestLiveSnapshotRestore(t *testing.T) {
 				{Node: 0, Kind: FaultCrash, Start: 40 * sim.Millisecond, End: 100 * sim.Millisecond},
 			}}
 		}},
+		{"straggler-queue", func(c *ScenarioConfig) {
+			c.Controller = ControllerSpec{Name: ControllerReactive}
+			c.Overload = OverloadSpec{Policy: OverloadQueue}
+			c.Faults = FaultSpec{Nodes: []NodeFault{
+				{Node: 2, Kind: FaultStraggler, Start: 20 * sim.Millisecond, End: 60 * sim.Millisecond, Factor: 3},
+			}}
+		}},
+		{"replicas", func(c *ScenarioConfig) { c.Replicas = 2 }},
+		{"kafka-shared", func(c *ScenarioConfig) {
+			node := c.Nodes[0]
+			node.Profile = workload.Kafka()
+			c.Nodes = sharedFleet(len(c.Nodes), node)
+			c.Controller = ControllerSpec{Name: ControllerReactive}
+			c.Faults = FaultSpec{Nodes: []NodeFault{
+				{Node: 1, Kind: FaultCrash, Start: 40 * sim.Millisecond, End: 80 * sim.Millisecond},
+			}}
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := liveScenario()
+			t.Parallel()
+			cfg := checkpointScenario()
 			tc.mut(&cfg)
-			orig := mustLive(t, cfg)
-			for i := 0; i < 4; i++ {
-				if _, err := orig.Step(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			blob, err := orig.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			restored, err := RestoreLive(cfg, blob)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if restored.Epoch() != orig.Epoch() || restored.Clock() != orig.Clock() {
-				t.Fatalf("restored at epoch %d clock %v, original at epoch %d clock %v",
-					restored.Epoch(), restored.Clock(), orig.Epoch(), orig.Clock())
-			}
-			stepAll(t, orig)
-			stepAll(t, restored)
-			ores, rres := mustResult(t, orig), mustResult(t, restored)
-			if !reflect.DeepEqual(ores, rres) {
-				t.Errorf("restored fleet diverged from original\noriginal %+v\nrestored %+v", ores, rres)
-			}
+			checkCheckpoints(t, cfg, script)
 		})
 	}
 }
 
 // TestLiveSnapshotBytesPinned pins a fleet checkpoint byte for byte,
-// recorded from the build that introduced the format: checkpoints carry
-// no migration, so one written earlier restores only while the fleet
-// and per-instance encodings stay identical.
+// recorded from the build that introduced liveSnapshotVersion 4:
+// checkpoints carry no migration, so one written earlier restores only
+// while the fleet and per-instance encodings stay identical. A
+// restore no longer re-simulates, so this digest is what catches a
+// simulator change that would restore old warm state onto a changed
+// model: any such change moves it and must bump the version.
 func TestLiveSnapshotBytesPinned(t *testing.T) {
 	l := mustLive(t, liveScenario())
 	for i := 0; i < 3; i++ {
@@ -247,7 +365,7 @@ func TestLiveSnapshotBytesPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "665d82ca97243f8824a8c532418b8b92d5820bea2779ccf32f3bbbc6252819a2"
+	const want = "a264b1ab26e1298819fa5f71d9dbb51e4fe8fa7ae5b9bafb1ca83fd9fe51590c"
 	if got := fmt.Sprintf("%x", sha256.Sum256(blob)); got != want {
 		t.Errorf("fleet snapshot sha256 = %s, want %s", got, want)
 	}
@@ -294,33 +412,42 @@ func TestRestoreLiveRejectsCorruptPayloads(t *testing.T) {
 	}
 }
 
-// TestRestoreLiveRejectsTargetedCorruption walks the checkpoint
-// document block by block — version byte, identity block (including
-// the v2 overload fields), decision history, nested instance snapshots
-// — and proves a flipped byte or a truncation inside each one is
-// rejected. Every offset is computed from the codec's fixed-width
-// layout, and every flip has a guaranteed failure mode (an identity
-// mismatch, an invalid boolean, a replay-target mismatch, or an
-// instance byte-inequality) — a full blind sweep could land on bytes
-// whose corruption is replay-equivalent and pass silently.
+// reseal returns data with its body changed by mut and the CRC-32C
+// trailer recomputed, so the decoder, not the checksum, must catch the
+// change.
+func reseal(data []byte, mut func(body []byte)) []byte {
+	body := append([]byte(nil), data[:len(data)-4]...)
+	mut(body)
+	return binary.BigEndian.AppendUint32(body, crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+}
+
+// TestRestoreLiveRejectsTargetedCorruption corrupts a checkpoint of a
+// controlled, queue-policy fleet. The named cases hit each block of
+// the document (version, identity, decision history, class block, the
+// last instance's state) at offsets computed from the codec's layout
+// (see Live.Snapshot). The forced-flag case reseals the checksum, so
+// the decoder's strict boolean, not the CRC-32C, must reject it. The
+// sweeps then flip every byte and cut at every length, which the
+// trailer makes sound: each must fail. A version byte from another
+// format under a valid checksum, and a checkpoint restored under a
+// different scenario config, must be rejected too.
 func TestRestoreLiveRejectsTargetedCorruption(t *testing.T) {
 	cfg := liveScenario()
 	cfg.Controller = ControllerSpec{Name: ControllerReactive}
 	cfg.Overload.Policy = OverloadQueue
 	l := mustLive(t, cfg)
-	for i := 0; i < 3; i++ {
+	const epochs = 3
+	for i := 0; i < epochs; i++ {
 		if _, err := l.Step(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	blob, err := l.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := mustSnapshot(t, l)
 
-	// Fixed-width layout arithmetic (see Live.Snapshot): 1 version byte,
-	// then the identity block, the 3-epoch decision history, and the
-	// class verification block holding the nested instance snapshots.
+	// Layout: 1 version byte, the identity block, the epoch count and
+	// one record per epoch (decision, window, account, telemetry with a
+	// sample per node), the admission flag and backlog, then the class
+	// count and the classes; the last 4 bytes are the CRC-32C.
 	const i64 = 8
 	str := func(s string) int { return i64 + len(s) }
 	identEnd := 1 + 4*i64 + // nodes, plan epochs, total, epoch
@@ -328,7 +455,8 @@ func TestRestoreLiveRejectsTargetedCorruption(t *testing.T) {
 		1 + 1 + i64 + // park, compact, replicas
 		str(cfg.Overload.Policy) + 2*i64 // max util, max backlog
 	histOff := identEnd
-	classOff := histOff + i64 + 3*(i64+1) // count, then target+forced per epoch
+	epochRec := epochBytes + i64 + len(cfg.Nodes)*nodeTelBytes
+	classOff := histOff + i64 + epochs*epochRec + 1 + i64
 
 	flip := func(off int) func([]byte) []byte {
 		return func(b []byte) []byte { b[off] ^= 0xFF; return b }
@@ -345,11 +473,10 @@ func TestRestoreLiveRejectsTargetedCorruption(t *testing.T) {
 		{"decision history count flipped", flip(histOff + i64 - 1)},
 		{"decision history target flipped", flip(histOff + i64 + i64 - 1)},
 		{"decision history forced flag invalid", func(b []byte) []byte {
-			b[histOff+i64+i64] = 2
-			return b
+			return reseal(b, func(body []byte) { body[histOff+2*i64] = 2 })
 		}},
 		{"class count flipped", flip(classOff + i64 - 1)},
-		{"instance snapshot tail flipped", flip(len(blob) - 2)},
+		{"instance snapshot tail flipped", flip(len(blob) - 6)},
 		{"truncated inside the identity block", func(b []byte) []byte { return b[:identEnd-4] }},
 		{"truncated inside the decision history", func(b []byte) []byte { return b[:histOff+i64+4] }},
 		{"truncated inside an instance snapshot", func(b []byte) []byte { return b[:len(b)-10] }},
@@ -362,10 +489,159 @@ func TestRestoreLiveRejectsTargetedCorruption(t *testing.T) {
 			}
 		})
 	}
+	t.Run("every byte flipped", func(t *testing.T) {
+		bad := append([]byte{}, blob...)
+		for off := range bad {
+			bad[off] ^= 0xFF
+			_, err := RestoreLive(cfg, bad)
+			bad[off] ^= 0xFF
+			if err == nil {
+				t.Fatalf("RestoreLive accepted the checkpoint with byte %d of %d flipped", off, len(bad))
+			}
+		}
+	})
+	t.Run("every truncation", func(t *testing.T) {
+		for n := 0; n < len(blob); n++ {
+			if _, err := RestoreLive(cfg, blob[:n]); err == nil {
+				t.Fatalf("RestoreLive accepted truncation to %d of %d bytes", n, len(blob))
+			}
+		}
+	})
+	t.Run("other version under a valid checksum", func(t *testing.T) {
+		for _, v := range []byte{liveSnapshotVersion - 1, liveSnapshotVersion + 1} {
+			if _, err := RestoreLive(cfg, reseal(blob, func(b []byte) { b[0] = v })); err == nil {
+				t.Errorf("RestoreLive accepted version %d", v)
+			}
+		}
+	})
+	t.Run("other scenario config", func(t *testing.T) {
+		for name, mut := range map[string]func(*ScenarioConfig){
+			"dispatch":   func(c *ScenarioConfig) { c.Dispatch = DispatchSpread },
+			"controller": func(c *ScenarioConfig) { c.Controller = ControllerSpec{Name: ControllerPredictive} },
+			"overload":   func(c *ScenarioConfig) { c.Overload.MaxBacklogSec = 2 },
+			"schedule":   func(c *ScenarioConfig) { c.Schedule = mustSchedule(scenario.Diurnal(3e6, 0.6, 160*sim.Millisecond, 8)) },
+		} {
+			other := cfg
+			mut(&other)
+			if _, err := RestoreLive(other, blob); err == nil {
+				t.Errorf("RestoreLive accepted a checkpoint taken under a different %s", name)
+			}
+		}
+	})
 
-	// The arithmetic above must describe the real document: the
-	// untouched blob still restores.
+	// The layout above must describe the real document: the counts sit
+	// where it says, the pristine blob restores, and so does a resealed
+	// copy with the forced flag the invalid-flag case overwrites.
+	if got := binary.BigEndian.Uint64(blob[histOff:]); got != epochs {
+		t.Fatalf("offset %d holds %d, not the epoch count", histOff, got)
+	}
+	if got := binary.BigEndian.Uint64(blob[classOff:]); got != uint64(len(l.classes)) {
+		t.Fatalf("offset %d holds %d, not the class count %d", classOff, got, len(l.classes))
+	}
 	if _, err := RestoreLive(cfg, blob); err != nil {
 		t.Fatalf("pristine checkpoint no longer restores: %v", err)
 	}
+	if _, err := RestoreLive(cfg, reseal(blob, func(b []byte) { b[histOff+2*i64] ^= 1 })); err != nil {
+		t.Fatalf("a checkpoint with the other valid forced flag no longer decodes: %v", err)
+	}
+}
+
+// fuzzLiveScenario is checkpointScenario on a shared-seed fleet with a
+// controller, a crash, a straggler and the queue policy, so its
+// checkpoints hold split classes, a down class and a backlog.
+func fuzzLiveScenario() ScenarioConfig {
+	cfg := checkpointScenario()
+	cfg.Nodes = sharedFleet(len(cfg.Nodes), cfg.Nodes[0])
+	cfg.Controller = ControllerSpec{Name: ControllerReactive}
+	cfg.Overload = OverloadSpec{Policy: OverloadQueue}
+	cfg.Faults = FaultSpec{Nodes: []NodeFault{
+		{Node: 1, Kind: FaultCrash, Start: 40 * sim.Millisecond, End: 80 * sim.Millisecond},
+		{Node: 2, Kind: FaultStraggler, Start: 20 * sim.Millisecond, End: 60 * sim.Millisecond, Factor: 3},
+	}}
+	return cfg
+}
+
+// fuzzRestoreScenario is fuzzLiveScenario shrunk to two-core nodes at
+// a third of its load, so its checkpoints are a few kilobytes and the
+// fuzzer mutates state rather than bulk.
+func fuzzRestoreScenario() ScenarioConfig {
+	cfg := fuzzLiveScenario()
+	node := cfg.Nodes[0]
+	node.Cores = 2
+	cfg.Nodes = sharedFleet(len(cfg.Nodes), node)
+	cfg.Schedule = mustSchedule(scenario.Diurnal(2e5, 0.6, 160*sim.Millisecond, 8))
+	return cfg
+}
+
+// fuzzRestoreAllocSlack bounds what RestoreLive of fuzzRestoreScenario
+// may allocate beyond 64 bytes per payload byte: the plan and the
+// initial grouping the config implies, and per class (at most one per
+// node) a freshly built two-core instance whose five histograms may
+// each grow to the 64 KiB a decoded histogram is capped at.
+const fuzzRestoreAllocSlack = 4 << 20
+
+// FuzzRestoreLive feeds RestoreLive arbitrary bytes and, from each
+// input, a copy with one byte changed and the checksum recomputed, so
+// mutated valid checkpoints reach the decoder. A restore must never
+// panic or allocate more than O(payload), one that succeeds must be
+// canonical (its checkpoint is the input, byte for byte), and the
+// fleet it returns must step on: decoding refuses state a later step
+// could not run from, so the next epoch must not panic either.
+func FuzzRestoreLive(f *testing.F) {
+	cfg := fuzzRestoreScenario()
+	l, err := NewLive(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for l.Epoch() < 4 {
+		// The fresh fleet, its first split, and a down class with the
+		// backlog a forced one-node epoch left behind it.
+		if e := l.Epoch(); e == 0 || e == 1 || e == 3 {
+			blob, err := l.Snapshot()
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(blob, uint32(len(blob)/2), uint8(1))
+		}
+		var err error
+		if l.Epoch() == 2 {
+			_, err = l.StepTarget(1)
+		} else {
+			_, err = l.Step()
+		}
+		if err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add([]byte{liveSnapshotVersion, 0, 0, 0, 0}, uint32(0), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, pos uint32, flip uint8) {
+		inputs := [][]byte{data}
+		if len(data) > 4 {
+			inputs = append(inputs, reseal(data, func(b []byte) {
+				if len(b) > 0 {
+					b[int(pos)%len(b)] ^= flip
+				}
+			}))
+		}
+		for _, in := range inputs {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			l, err := RestoreLive(cfg, in)
+			runtime.ReadMemStats(&after)
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(64*len(in)+fuzzRestoreAllocSlack) {
+				t.Fatalf("restoring %d bytes allocated %d", len(in), alloc)
+			}
+			if err != nil {
+				continue
+			}
+			if out := mustSnapshot(t, l); !bytes.Equal(out, in) {
+				t.Fatalf("an accepted checkpoint of %d bytes re-encodes to %d different bytes", len(in), len(out))
+			}
+			if !l.Done() {
+				// A mutated rate or fault may fail the step; only a
+				// panic fails the test.
+				_, _ = l.Step()
+			}
+		}
+	})
 }

@@ -1,9 +1,11 @@
 package cstate
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/sim"
+	"repro/internal/snapbuf"
 	"repro/internal/stats"
 )
 
@@ -167,6 +169,33 @@ func (m *Machine) Clone() *Machine {
 	c := *m
 	c.res = m.res.Clone()
 	return &c
+}
+
+// AppendState appends the machine's phase, state, pending wake and
+// residency tracker: what Clone copies. The catalog is construction
+// input.
+func (m *Machine) AppendState(e *snapbuf.Encoder) {
+	e.U8(uint8(m.phase))
+	e.U8(uint8(m.state))
+	e.Bool(m.wakePending)
+	m.res.AppendState(e)
+}
+
+// DecodeState loads what AppendState wrote into m, a machine NewMachine
+// built over the same catalog. A machine is in C0 exactly when active,
+// so any other pairing of phase and state is corrupt; now bounds the
+// residency marks. Errors go to d.
+func (m *Machine) DecodeState(d *snapbuf.Decoder, now sim.Time) {
+	phase, state, wake := Phase(d.U8()), ID(d.U8()), d.Bool()
+	if d.Err() != nil {
+		return
+	}
+	if phase > PhaseExiting || state >= NumStates || (phase == PhaseActive) != (state == C0) {
+		d.Fail(errors.New("cstate: corrupt machine phase or state"))
+		return
+	}
+	m.phase, m.state, m.wakePending = phase, state, wake
+	m.res.DecodeState(d, int64(now))
 }
 
 // Residency exposes the underlying residency tracker.

@@ -5,10 +5,12 @@
 package governor
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/cstate"
 	"repro/internal/sim"
+	"repro/internal/snapbuf"
 )
 
 // Governor selects an idle state when a core runs out of work. It learns
@@ -26,6 +28,11 @@ type Governor interface {
 	// Clone returns an independent copy carrying the learned state; the
 	// catalog is immutable and shared.
 	Clone() Governor
+	// AppendState appends the learned state Clone copies, and
+	// DecodeState loads it into a governor New built for the same
+	// policy and catalog (errors go to d).
+	AppendState(e *snapbuf.Encoder)
+	DecodeState(d *snapbuf.Decoder)
 }
 
 // EWMA is the menu governor's prediction machinery, extracted so other
@@ -61,6 +68,19 @@ func (e *EWMA) Observe(v float64) {
 
 // Seeded reports whether any observation has arrived.
 func (e *EWMA) Seeded() bool { return e.seeded }
+
+// AppendState appends the estimate, the last observation and the
+// seeded flag; alpha is construction input.
+func (e *EWMA) AppendState(enc *snapbuf.Encoder) {
+	enc.F64(e.value)
+	enc.F64(e.last)
+	enc.Bool(e.seeded)
+}
+
+// DecodeState loads what AppendState wrote.
+func (e *EWMA) DecodeState(d *snapbuf.Decoder) {
+	e.value, e.last, e.seeded = d.F64(), d.F64(), d.Bool()
+}
 
 // Value returns the running EWMA estimate (0 before any observation).
 func (e *EWMA) Value() float64 { return e.value }
@@ -139,6 +159,12 @@ func (g *MenuGovernor) Clone() Governor {
 	return &c
 }
 
+// AppendState implements Governor.
+func (g *MenuGovernor) AppendState(e *snapbuf.Encoder) { g.pred.AppendState(e) }
+
+// DecodeState implements Governor.
+func (g *MenuGovernor) DecodeState(d *snapbuf.Decoder) { g.pred.DecodeState(d) }
+
 // StaticGovernor always selects the deepest state in the menu, ignoring
 // residency targets. It models "performance-tuned" BIOS setups that trust
 // a single state, and is also useful for upper-bound analyses.
@@ -168,6 +194,12 @@ func (g *StaticGovernor) Clone() Governor {
 	c := *g
 	return &c
 }
+
+// AppendState implements Governor: the policy learns nothing.
+func (g *StaticGovernor) AppendState(*snapbuf.Encoder) {}
+
+// DecodeState implements Governor.
+func (g *StaticGovernor) DecodeState(*snapbuf.Decoder) {}
 
 // LadderGovernor starts shallow and deepens one step each time an idle
 // period overruns the next state's target residency, resetting on a
@@ -214,6 +246,23 @@ func (g *LadderGovernor) Observe(idle sim.Time) {
 func (g *LadderGovernor) Clone() Governor {
 	c := *g
 	return &c
+}
+
+// AppendState implements Governor.
+func (g *LadderGovernor) AppendState(e *snapbuf.Encoder) {
+	e.I64(int64(g.rung))
+	e.I64(int64(g.last))
+}
+
+// DecodeState implements Governor. A negative rung is corrupt (Select
+// clamps only from above).
+func (g *LadderGovernor) DecodeState(d *snapbuf.Decoder) {
+	rung, last := d.I64(), sim.Time(d.I64())
+	if d.Err() == nil && (rung < 0 || rung > int64(cstate.NumStates)) {
+		d.Fail(errors.New("governor: corrupt ladder rung"))
+		return
+	}
+	g.rung, g.last = int(rung), last
 }
 
 func orderShallowToDeep(c *cstate.Catalog, menu []cstate.ID) []cstate.ID {

@@ -1,10 +1,12 @@
 package governor
 
 import (
+	"errors"
 	"math"
 
 	"repro/internal/cstate"
 	"repro/internal/sim"
+	"repro/internal/snapbuf"
 )
 
 // IntervalGovernor is a closer analogue of the Linux menu governor's
@@ -33,6 +35,34 @@ func (g *IntervalGovernor) Name() string { return PolicyInterval }
 func (g *IntervalGovernor) Clone() Governor {
 	c := *g
 	return &c
+}
+
+// AppendState implements Governor: the interval buffer, its fill and
+// its write position.
+func (g *IntervalGovernor) AppendState(e *snapbuf.Encoder) {
+	for _, v := range g.buf {
+		e.F64(v)
+	}
+	e.I64(int64(g.n))
+	e.I64(int64(g.pos))
+}
+
+// DecodeState implements Governor. A fill or position outside the
+// buffer is corrupt.
+func (g *IntervalGovernor) DecodeState(d *snapbuf.Decoder) {
+	var buf [8]float64
+	for i := range buf {
+		buf[i] = d.F64()
+	}
+	n, pos := d.I64(), d.I64()
+	if d.Err() != nil {
+		return
+	}
+	if n < 0 || n > int64(len(buf)) || pos < 0 || pos >= int64(len(buf)) {
+		d.Fail(errors.New("governor: corrupt interval buffer"))
+		return
+	}
+	g.buf, g.n, g.pos = buf, int(n), int(pos)
 }
 
 // Observe implements Governor.

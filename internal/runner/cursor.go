@@ -1,8 +1,11 @@
 package runner
 
 import (
+	"fmt"
+
 	"repro/internal/server"
 	"repro/internal/sim"
+	"repro/internal/snapbuf"
 	"repro/internal/xrand"
 )
 
@@ -76,13 +79,7 @@ func (tc *TimelineCursor) Step(iv Interval) (server.IntervalResult, error) {
 	restarted := false
 	if tc.ins == nil {
 		tc.restarts++
-		cfg := tc.node
-		cfg.Seed = xrand.RestartSeed(tc.node.Seed, tc.restarts)
-		// Warmup 0 means "default 50ms" after Defaults; a rebuilt node
-		// starts genuinely cold, so ask for the minimum representable
-		// warmup instead.
-		cfg.Warmup = sim.Time(1)
-		ins, err := server.NewInstance(cfg, tc.park)
+		ins, err := server.NewInstance(InstanceConfig(tc.node, tc.restarts), tc.park)
 		if err != nil {
 			return server.IntervalResult{}, err
 		}
@@ -102,6 +99,55 @@ func (tc *TimelineCursor) Step(iv Interval) (server.IntervalResult, error) {
 	return res, nil
 }
 
+// InstanceConfig returns the config a cursor over node builds its
+// instance from after restarts crashes: node itself before the first,
+// then node under a restart-remixed seed with the minimum warmup (a
+// rebuilt node starts genuinely cold, and Warmup 0 would mean the
+// 50 ms default).
+func InstanceConfig(node server.Config, restarts int) server.Config {
+	if restarts == 0 {
+		return node
+	}
+	node.Seed = xrand.RestartSeed(node.Seed, restarts)
+	node.Warmup = sim.Time(1)
+	return node
+}
+
+// AppendState appends the cursor's timeline position: the interval
+// numbering, the crash flag and restart count, and the warm instance's
+// state unless the node is down (then it holds none).
+func (tc *TimelineCursor) AppendState(e *snapbuf.Encoder) error {
+	e.I64(int64(tc.index))
+	e.Bool(tc.down)
+	e.I64(int64(tc.restarts))
+	if tc.down {
+		return nil
+	}
+	return server.AppendState(e, tc.ins)
+}
+
+// DecodeCursor rebuilds a cursor over node from what AppendState wrote:
+// the live instance is rebuilt from InstanceConfig(node, restarts) and
+// its warm state decoded over it, never re-simulated.
+func DecodeCursor(d *snapbuf.Decoder, node server.Config, park bool) (*TimelineCursor, error) {
+	index, down, restarts := d.I64(), d.Bool(), d.I64()
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	if index < 0 || restarts < 0 || restarts > index {
+		return nil, fmt.Errorf("runner: corrupt cursor (interval %d, %d restarts)", index, restarts)
+	}
+	tc := &TimelineCursor{node: node, park: park, index: int(index), down: down, restarts: int(restarts)}
+	if !down {
+		ins, err := server.DecodeState(d, InstanceConfig(node, tc.restarts), park)
+		if err != nil {
+			return nil, err
+		}
+		tc.ins = ins
+	}
+	return tc, nil
+}
+
 // Clone returns an independent cursor at the same timeline position:
 // the same interval numbering and crash/restart history, and a clone of
 // the warm instance (none while crashed). Stepping the clone and the
@@ -113,11 +159,6 @@ func (tc *TimelineCursor) Clone() *TimelineCursor {
 	}
 	return &c
 }
-
-// Instance returns the live warm instance, nil while crashed. The
-// cluster snapshot layer serializes it for fleet checkpoint
-// verification; callers must not run intervals on it directly.
-func (tc *TimelineCursor) Instance() *server.Instance { return tc.ins }
 
 // Down reports whether the node is currently crashed.
 func (tc *TimelineCursor) Down() bool { return tc.down }

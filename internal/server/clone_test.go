@@ -126,10 +126,11 @@ func cloneFuture(fault bool) []cloneStep {
 	}
 }
 
-// TestCloneEquivalence pins Instance.Clone against a never-cloned twin
-// across the load generator x dispatch x governor x park x fault
-// matrix: a clone taken mid-run and its original, stepped through the
-// same future (the clone first), must both reproduce the twin's
+// TestCloneEquivalence pins Instance.Clone and Restore against a
+// never-cloned twin across the load generator x dispatch x governor x
+// park x fault matrix: a clone taken mid-run, a restore of the
+// original's snapshot and the original, stepped through the same
+// future (the clone first), must all reproduce the twin's
 // IntervalResults and Snapshot bytes exactly. Stepping the clone first
 // proves the original's future does not feel it.
 func TestCloneEquivalence(t *testing.T) {
@@ -145,12 +146,21 @@ func TestCloneEquivalence(t *testing.T) {
 			}
 			orig, twin := mk(), mk()
 			clone := orig.Clone()
-			if got, want := mustSnapshot(t, clone), mustSnapshot(t, orig); !bytes.Equal(got, want) {
+			blob := mustSnapshot(t, orig)
+			if !bytes.Equal(mustSnapshot(t, clone), blob) {
 				t.Fatal("a fresh clone's snapshot differs from its original's")
+			}
+			restored, err := Restore(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(mustSnapshot(t, restored), blob) {
+				t.Fatal("a restored instance's snapshot differs from the one it was restored from")
 			}
 			future := cloneFuture(tc.fault)
 			cres := runSteps(t, clone, future)
 			ores := runSteps(t, orig, future)
+			rres := runSteps(t, restored, future)
 			tres := runSteps(t, twin, future)
 			if !reflect.DeepEqual(cres, tres) {
 				t.Errorf("clone's future diverged from the never-cloned twin\nclone %+v\n twin %+v", cres, tres)
@@ -158,12 +168,18 @@ func TestCloneEquivalence(t *testing.T) {
 			if !reflect.DeepEqual(ores, tres) {
 				t.Errorf("stepping the clone first changed the original's future\norig %+v\ntwin %+v", ores, tres)
 			}
+			if !reflect.DeepEqual(rres, tres) {
+				t.Errorf("the restored instance's future diverged from the twin\nrestored %+v\n    twin %+v", rres, tres)
+			}
 			want := mustSnapshot(t, twin)
 			if !bytes.Equal(mustSnapshot(t, clone), want) {
 				t.Error("clone's snapshot after the future differs from the twin's")
 			}
 			if !bytes.Equal(mustSnapshot(t, orig), want) {
 				t.Error("original's snapshot after the future differs from the twin's")
+			}
+			if !bytes.Equal(mustSnapshot(t, restored), want) {
+				t.Error("restored instance's snapshot after the future differs from the twin's")
 			}
 		})
 	}
@@ -346,5 +362,43 @@ func BenchmarkInstanceClone(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = ins.Clone()
+	}
+}
+
+// warmSnapNode is the benchmark node BenchmarkInstanceClone steps: 20
+// cores, snoop traffic, a fault history and a parked window.
+func warmSnapNode(b *testing.B) *Instance {
+	ins, err := NewInstance(snapCfg(), true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	runSteps(b, ins, append(clonePrefix(true, true), cloneFuture(true)...))
+	return ins
+}
+
+// BenchmarkInstanceSnapshot measures one Snapshot of the warm node,
+// reporting the payload size: the warm state is encoded whatever the
+// history length.
+func BenchmarkInstanceSnapshot(b *testing.B) {
+	ins := warmSnapNode(b)
+	var size int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		size = len(mustSnapshot(b, ins))
+	}
+	b.ReportMetric(float64(size), "bytes")
+}
+
+// BenchmarkInstanceRestore measures one Restore of the warm node's
+// snapshot: checksum, config decode, NewInstance and the state decode.
+func BenchmarkInstanceRestore(b *testing.B) {
+	blob := mustSnapshot(b, warmSnapNode(b))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Restore(blob); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

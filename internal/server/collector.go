@@ -122,6 +122,7 @@ func (col *Collector) noteComplete(req request, now sim.Time, netRTT sim.Time) {
 // collect assembles the Result for the window ending at end.
 func (col *Collector) collect(s *Sim, end sim.Time) Result {
 	res := Result{Config: s.cfg, MeasuredDuration: end - col.measureStart}
+	res.Config.Profile.Arrivals = s.profArrivals
 	windowSec := (end - col.measureStart).Seconds()
 	var totalEnergy float64
 	var busy, turboBusy sim.Time

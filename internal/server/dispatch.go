@@ -1,9 +1,11 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/sim"
+	"repro/internal/snapbuf"
 	"repro/internal/xrand"
 )
 
@@ -46,8 +48,11 @@ type Dispatcher interface {
 	// not mutate the cores.
 	Pick(now sim.Time, cores []*coreRuntime) int
 	// clone returns an independent copy carrying the policy's state
-	// (see Instance.Clone).
+	// (see Instance.Clone); appendState and decodeState carry the same
+	// state through a snapshot, cores being the core count Pick serves.
 	clone() Dispatcher
+	appendState(e *snapbuf.Encoder)
+	decodeState(d *snapbuf.Decoder, cores int)
 }
 
 // newDispatcher constructs the named policy. The random stream is derived
@@ -109,6 +114,17 @@ func (d *roundRobinDispatch) clone() Dispatcher {
 	return &c
 }
 
+func (d *roundRobinDispatch) appendState(e *snapbuf.Encoder) { e.I64(int64(d.next)) }
+
+func (d *roundRobinDispatch) decodeState(dec *snapbuf.Decoder, cores int) {
+	next := dec.I64()
+	if dec.Err() == nil && (next < 0 || next >= int64(cores)) {
+		dec.Fail(errors.New("server: corrupt round-robin cursor"))
+		return
+	}
+	d.next = int(next)
+}
+
 type randomDispatch struct{ rng *xrand.Rand }
 
 func (*randomDispatch) Name() string { return DispatchRandom }
@@ -119,11 +135,17 @@ func (d *randomDispatch) Pick(_ sim.Time, cores []*coreRuntime) int {
 
 func (d *randomDispatch) clone() Dispatcher { return &randomDispatch{rng: d.rng.Clone()} }
 
+func (d *randomDispatch) appendState(e *snapbuf.Encoder)              { d.rng.AppendState(e) }
+func (d *randomDispatch) decodeState(dec *snapbuf.Decoder, cores int) { d.rng.DecodeState(dec) }
+
 type leastLoadedDispatch struct{}
 
 func (leastLoadedDispatch) Name() string { return DispatchLeastLoaded }
 
 func (d leastLoadedDispatch) clone() Dispatcher { return d }
+
+func (leastLoadedDispatch) appendState(*snapbuf.Encoder)      {}
+func (leastLoadedDispatch) decodeState(*snapbuf.Decoder, int) {}
 
 func (leastLoadedDispatch) Pick(_ sim.Time, cores []*coreRuntime) int {
 	best, bestLoad := 0, cores[0].Load()
@@ -140,6 +162,9 @@ type packedDispatch struct{ cap int }
 func (packedDispatch) Name() string { return DispatchPacked }
 
 func (d packedDispatch) clone() Dispatcher { return d }
+
+func (packedDispatch) appendState(*snapbuf.Encoder)      {}
+func (packedDispatch) decodeState(*snapbuf.Decoder, int) {}
 
 func (d packedDispatch) Pick(_ sim.Time, cores []*coreRuntime) int {
 	// First core with headroom wins; if every core is saturated, fall

@@ -45,25 +45,8 @@ type Instance struct {
 	// orig is the construction config exactly as handed to NewInstance
 	// (rate/schedule zeroed, defaults NOT applied) — what Snapshot
 	// serializes, so Restore rebuilds through the identical
-	// NewInstance(orig) path.
+	// NewInstance(orig) path before it decodes the warm state.
 	orig Config
-	// hist is the realized interval log: every RunInterval call with the
-	// fault state that was live for it. Snapshot persists it; Restore
-	// replays it (see snapshot.go for why a checkpoint replays rather
-	// than serializing live state); Clone copies it, so a clone's
-	// Snapshot matches its original's.
-	hist []intervalRecord
-}
-
-// intervalRecord is one RunInterval call as Snapshot persists it: the
-// window and rate plus the fault state (straggler inflation, thermal
-// throttle) that was installed while it ran.
-type intervalRecord struct {
-	window   sim.Time
-	rate     float64
-	inflate  float64
-	throttle bool
-	capFrac  float64
 }
 
 // IntervalResult is one RunInterval measurement.
@@ -214,12 +197,5 @@ func (ins *Instance) RunInterval(window sim.Time, rate float64) (IntervalResult,
 		Result:  res,
 	}
 	ins.index++
-	ins.hist = append(ins.hist, intervalRecord{
-		window:   window,
-		rate:     rate,
-		inflate:  s.inflate,
-		throttle: s.throttled,
-		capFrac:  s.capFrac,
-	})
 	return out, nil
 }

@@ -1,9 +1,12 @@
 package server
 
 import (
+	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/sim"
+	"repro/internal/snapbuf"
 )
 
 // Load-generator names accepted by Config.LoadGen.
@@ -45,8 +48,11 @@ type LoadGen interface {
 	// schedule the connection's next request.
 	OnComplete(s *Sim, conn int, now sim.Time)
 	// clone returns an independent copy carrying the generator's state
-	// (see Instance.Clone).
+	// (see Instance.Clone); appendState and decodeState carry the same
+	// state through a snapshot (see Instance.Snapshot).
 	clone() LoadGen
+	appendState(e *snapbuf.Encoder)
+	decodeState(d *snapbuf.Decoder)
 }
 
 // newLoadGen constructs the named generator. inst marks instance mode,
@@ -106,6 +112,9 @@ func (openLoopGen) Start(s *Sim) {
 func (openLoopGen) OnComplete(*Sim, int, sim.Time) {}
 
 func (g openLoopGen) clone() LoadGen { return g }
+
+func (openLoopGen) appendState(*snapbuf.Encoder) {}
+func (openLoopGen) decodeState(*snapbuf.Decoder) {}
 
 // openLoopArrival dispatches one request (unless this is a zero-rate
 // phase probe) and schedules the next.
@@ -198,6 +207,9 @@ func (closedLoopGen) Start(s *Sim) {
 
 func (g closedLoopGen) clone() LoadGen { return g }
 
+func (closedLoopGen) appendState(*snapbuf.Encoder) {}
+func (closedLoopGen) decodeState(*snapbuf.Decoder) {}
+
 func (closedLoopGen) OnComplete(s *Sim, conn int, now sim.Time) {
 	think := sim.Time(s.arrRand.Exp(float64(s.cfg.ThinkTime)))
 	if think < 1 {
@@ -248,6 +260,19 @@ func (*burstyGen) OnComplete(*Sim, int, sim.Time) {}
 func (g *burstyGen) clone() LoadGen {
 	c := *g
 	return &c
+}
+
+// appendState appends the active ON-window rate; the burst shape is
+// construction input.
+func (g *burstyGen) appendState(e *snapbuf.Encoder) { e.F64(g.curRate) }
+
+func (g *burstyGen) decodeState(d *snapbuf.Decoder) {
+	r := d.F64()
+	if d.Err() == nil && !(r >= 0 && !math.IsInf(r, 1)) {
+		d.Fail(errors.New("server: corrupt burst rate"))
+		return
+	}
+	g.curRate = r
 }
 
 // burst runs one ON window starting now and schedules the next burst

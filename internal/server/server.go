@@ -421,6 +421,12 @@ type Sim struct {
 	disp Dispatcher
 	col  *Collector
 
+	// profArrivals is the construction config's arrival process before
+	// newSim copied it: never stepped, it is what a Result's Config
+	// reports, so a result does not alias the process the run keeps
+	// stepping.
+	profArrivals workload.ArrivalProcess
+
 	// Instance-mode state (see instance.go). A resumable Instance drives
 	// the offered load as a piecewise-constant rate that changes only at
 	// RunInterval boundaries: instRate is the current interval's rate and
@@ -492,7 +498,7 @@ type Sim struct {
 	// fields.
 	inflate   float64 // straggler service-time multiplier; <= 1 means none
 	throttled bool    // thermal throttle: turbo ceiling capped
-	capFrac   float64 // throttle ceiling fraction (snapshot replay needs it)
+	capFrac   float64 // throttle ceiling fraction (a snapshot carries it)
 	thrFreqHz float64 // throttled turbo frequency
 	pwrThr    float64 // AtFreq(thrFreqHz)
 	spThr     float64 // Speedup(scalability, refFreq, thrFreqHz)
@@ -567,6 +573,7 @@ func newSim(cfg Config, inst bool) (*Sim, error) {
 	}
 	// Stateful arrival processes (e.g. the MMPP2 Kafka stream) are copied
 	// per run so concurrent or repeated runs never share mutable state.
+	profArrivals := cfg.Profile.Arrivals
 	cfg.Profile.Arrivals = cloneArrival(cfg.Profile.Arrivals)
 	s := &Sim{
 		cfg:     cfg,
@@ -578,6 +585,7 @@ func newSim(cfg Config, inst bool) (*Sim, error) {
 		cpower:  turbo.NewCorePower(cfg.Freq),
 		col:     newCollector(),
 	}
+	s.profArrivals = profArrivals
 	s.instMode = inst
 	s.pkgIdleOn = cfg.PkgIdleEnabled
 	s.deepest, _ = cfg.Catalog.DeepestByResidency(cfg.Platform.Menu, sim.MaxTime)

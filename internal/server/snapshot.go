@@ -1,7 +1,9 @@
 package server
 
 import (
+	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/cstate"
 	"repro/internal/sim"
@@ -15,32 +17,39 @@ import (
 //	config block the construction Config, field by field (profile by
 //	             registry name + fingerprint, platform by value)
 //	park flag    the parkOnZeroRate construction argument
-//	history      every RunInterval call: window, rate, and the fault
-//	             state (inflation, throttle cap) live during it
-//	verification engine clock, fired-event count, snoops served, and
-//	             the three named RNG stream states at capture time
+//	state        the warm state Clone copies (AppendState): interval
+//	             count and started flag, the engine clock and pending
+//	             events, model scalars, meters, RNG stream positions,
+//	             turbo budget, arrival modulation, generator,
+//	             dispatcher, collector histograms and every core
+//	trailer      CRC-32C of everything before it
 //
-// A snapshot crosses processes and builds, so it does not serialize
-// live state (the event queue, C-state machines, rings, histograms):
-// a dump of those would restore onto a changed simulator without
-// complaint. Instead the snapshot captures the two things the state is
-// a pure function of — the construction config and the realized
-// interval history — and Restore replays them through the normal
-// NewInstance/RunInterval path. Replay is bit-exact by the same
-// determinism guarantee the cluster layer's class collapse is built on,
-// and the verification block turns that guarantee into a checked
-// invariant: a restored instance whose clock, event count or RNG
-// positions differ from the captured ones (a simulator change since
-// capture, or a corrupted payload that still decoded) fails loudly
-// instead of silently diverging. Within one process, Instance.Clone
-// copies live state directly, in O(state) instead of O(history).
+// Restore checks the trailer before it reads a field, rebuilds the
+// instance with NewInstance from the config block, so construction-
+// derived constants (event kinds, precomputed power and speedup tables)
+// are never encoded, and then overwrites the mutable state with the
+// decoded one. It never re-simulates: a restore costs O(state), not
+// O(history), like a Clone across processes. Decoding checks every
+// count against the bytes left before it allocates, and rejects state
+// a later step could not run from: pending timers that disagree with
+// the core, package or arrival state they act on (one timer per
+// in-flight transition, completion or background stream, core indices
+// in range), or a time mark past the clock.
 //
 // Versioning policy: the version byte is bumped on ANY change to the
-// encoding or to simulation behavior that breaks replay equivalence;
-// decode rejects unknown versions, truncated payloads and trailing
+// encoding, or to the simulator state it captures; decode rejects
+// unknown versions, a bad checksum, truncated payloads and trailing
 // bytes outright. There is no cross-version migration — a snapshot is a
-// checkpoint of one simulator build, not an archival format.
-const snapshotVersion = 1
+// checkpoint of one simulator build, not an archival format — and the
+// pinned-bytes tests fail on any change that would need one. Version 2
+// replaced version 1's replayed interval history with the warm state.
+const snapshotVersion = 2
+
+// minCoreStateBytes bounds a core's encoded state from below (machine,
+// meter, request counters and flags), so a config block naming more
+// cores than the rest of the payload could describe is rejected before
+// NewInstance allocates them.
+const minCoreStateBytes = 200
 
 // Snapshot serializes the instance so Restore can rebuild it in another
 // process (or after this one exits) with bit-identical future behavior.
@@ -51,7 +60,26 @@ const snapshotVersion = 1
 // rejected here, at capture time, rather than producing a payload
 // that cannot restore.
 func (ins *Instance) Snapshot() ([]byte, error) {
-	cfg := ins.orig
+	fp, err := snapshottable(&ins.orig)
+	if err != nil {
+		return nil, err
+	}
+	var e snapbuf.Encoder
+	e.U8(snapshotVersion)
+	encodeConfig(&e, &ins.orig, fp)
+	e.Bool(ins.park)
+	if err := ins.appendState(&e); err != nil {
+		return nil, err
+	}
+	e.Seal()
+	return e.Buf, nil
+}
+
+// snapshottable returns the profile fingerprint of cfg, or an error if
+// the config cannot travel through bytes: a custom Catalog, a profile
+// that is not a registered built-in or differs from it, or one whose
+// components hold live state no snapshot encodes.
+func snapshottable(cfg *Config) ([]byte, error) {
 	if cfg.Catalog != nil {
 		return nil, fmt.Errorf("server: snapshot: custom C-state catalogs are not serializable (use the default catalog)")
 	}
@@ -67,33 +95,51 @@ func (ins *Instance) Snapshot() ([]byte, error) {
 	if string(fp) != regFP {
 		return nil, fmt.Errorf("server: snapshot: profile %q differs from the registered built-in of that name", cfg.Profile.Name)
 	}
+	return fp, nil
+}
 
-	var e snapbuf.Encoder
-	e.U8(snapshotVersion)
-	encodeConfig(&e, &cfg, fp)
-	e.Bool(ins.park)
-
-	// Interval history.
-	e.I64(int64(len(ins.hist)))
-	for _, h := range ins.hist {
-		e.I64(int64(h.window))
-		e.F64(h.rate)
-		e.F64(h.inflate)
-		e.Bool(h.throttle)
-		e.F64(h.capFrac)
+// AppendState appends the instance's warm state, the part of a
+// Snapshot after the config block and park flag. A fleet checkpoint
+// embeds it per node and rebuilds the node from its own config with
+// DecodeState. It refuses what Snapshot refuses.
+func AppendState(e *snapbuf.Encoder, ins *Instance) error {
+	if _, err := snapshottable(&ins.orig); err != nil {
+		return err
 	}
+	return ins.appendState(e)
+}
 
-	// Verification block.
-	s := ins.s
-	e.I64(int64(s.eng.Now()))
-	e.U64(s.eng.Fired())
-	e.U64(s.snoopsServed)
-	for _, rng := range []interface{ State() [4]uint64 }{s.arrRand, s.svcRand, s.netRand} {
-		for _, w := range rng.State() {
-			e.U64(w)
-		}
+func (ins *Instance) appendState(e *snapbuf.Encoder) error {
+	e.Bool(ins.started)
+	e.I64(int64(ins.index))
+	e.U64(ins.preSnoops)
+	if err := ins.s.appendState(e); err != nil {
+		return fmt.Errorf("server: snapshot: %w", err)
 	}
-	return e.Buf, nil
+	return nil
+}
+
+// DecodeState rebuilds an instance from what AppendState wrote:
+// NewInstance(cfg, park), then its mutable state overwritten with the
+// decoded one. cfg and park must be the ones the captured instance was
+// built with. Decode errors are also left in d.
+func DecodeState(d *snapbuf.Decoder, cfg Config, park bool) (*Instance, error) {
+	ins, err := NewInstance(cfg, park)
+	if err != nil {
+		return nil, err
+	}
+	ins.started = d.Bool()
+	index := d.I64()
+	ins.preSnoops = d.U64()
+	ins.s.decodeState(d, ins.started)
+	if d.Err() == nil && index < 0 {
+		d.Fail(fmt.Errorf("server: corrupt interval count %d", index))
+	}
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	ins.index = int(index)
+	return ins, nil
 }
 
 // EncodeKey appends the config block of cfg with every unset knob
@@ -158,14 +204,16 @@ func encodeConfig(e *snapbuf.Encoder, cfg *Config, fingerprint []byte) {
 	e.I64(int64(cfg.ThinkTime))
 }
 
-// Restore rebuilds an instance from a Snapshot payload: strict decode
-// (unknown version, truncation and trailing bytes are errors), then a
-// deterministic replay of the captured interval history through the
-// normal NewInstance/RunInterval path, then verification that the
-// replayed state — engine clock, fired-event count, snoop count, RNG
-// stream positions — matches the captured values exactly.
+// Restore rebuilds an instance from a Snapshot payload: the checksum is
+// verified first, then the config block is decoded strictly (unknown
+// version, truncation and trailing bytes are errors), the instance is
+// constructed by NewInstance, and its warm state is decoded over the
+// constructed one. Nothing is re-simulated.
 func Restore(data []byte) (*Instance, error) {
-	d := snapbuf.NewDecoder(data)
+	d, err := snapbuf.Open(data)
+	if err != nil {
+		return nil, fmt.Errorf("server: restore: %w", err)
+	}
 	if v := d.U8(); d.Err() == nil && v != snapshotVersion {
 		return nil, fmt.Errorf("server: restore: unknown snapshot version %d (want %d)", v, snapshotVersion)
 	}
@@ -213,33 +261,15 @@ func Restore(data []byte) (*Instance, error) {
 	cfg.ThinkTime = sim.Time(d.I64())
 
 	park := d.Bool()
-
-	nhist := d.I64()
-	if d.Err() == nil && (nhist < 0 || nhist > int64(len(data))) {
-		return nil, fmt.Errorf("server: restore: implausible interval count %d", nhist)
-	}
-	var hist []intervalRecord
-	for i := int64(0); i < nhist && d.Err() == nil; i++ {
-		hist = append(hist, intervalRecord{
-			window:   sim.Time(d.I64()),
-			rate:     d.F64(),
-			inflate:  d.F64(),
-			throttle: d.Bool(),
-			capFrac:  d.F64(),
-		})
-	}
-
-	wantClock := sim.Time(d.I64())
-	wantFired := d.U64()
-	wantSnoops := d.U64()
-	var wantRNG [3][4]uint64
-	for i := range wantRNG {
-		for j := range wantRNG[i] {
-			wantRNG[i][j] = d.U64()
-		}
-	}
-	if err := d.Close(); err != nil {
+	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("server: restore: %w", err)
+	}
+	cores := cfg.Cores
+	if cores == 0 {
+		cores = DefaultCores
+	}
+	if cores < 0 || cores > d.Remaining()/minCoreStateBytes {
+		return nil, fmt.Errorf("server: restore: %d cores cannot fit the %d state bytes left", cfg.Cores, d.Remaining())
 	}
 
 	prof, err := workload.ByName(profileName)
@@ -251,32 +281,186 @@ func Restore(data []byte) (*Instance, error) {
 	}
 	cfg.Profile = prof
 
-	ins, err := NewInstance(cfg, park)
+	ins, err := DecodeState(d, cfg, park)
 	if err != nil {
 		return nil, fmt.Errorf("server: restore: %w", err)
 	}
-	for i, h := range hist {
-		ins.SetServiceInflation(h.inflate)
-		ins.SetTurboCap(h.throttle, h.capFrac)
-		if _, err := ins.RunInterval(h.window, h.rate); err != nil {
-			return nil, fmt.Errorf("server: restore: replay interval %d: %w", i, err)
-		}
-	}
-
-	s := ins.s
-	if got := s.eng.Now(); got != wantClock {
-		return nil, fmt.Errorf("server: restore: replay clock %d differs from captured %d (simulator changed since capture?)", got, wantClock)
-	}
-	if got := s.eng.Fired(); got != wantFired {
-		return nil, fmt.Errorf("server: restore: replay fired %d events, captured run fired %d (simulator changed since capture?)", got, wantFired)
-	}
-	if got := s.snoopsServed; got != wantSnoops {
-		return nil, fmt.Errorf("server: restore: replay served %d snoops, captured run served %d (simulator changed since capture?)", got, wantSnoops)
-	}
-	for i, rng := range []interface{ State() [4]uint64 }{s.arrRand, s.svcRand, s.netRand} {
-		if got := rng.State(); got != wantRNG[i] {
-			return nil, fmt.Errorf("server: restore: RNG stream %d position diverged from capture (simulator changed since capture?)", i)
-		}
+	if err := d.Close(); err != nil {
+		return nil, fmt.Errorf("server: restore: %w", err)
 	}
 	return ins, nil
+}
+
+// ResultConfig returns the Config the interval results of an instance
+// built from cfg report before RunInterval stamps each window's rate
+// and length: cfg as NewInstance keeps it, with defaults applied. A
+// fleet checkpoint rebuilds its results' configs from it instead of
+// encoding one per result.
+func ResultConfig(cfg Config) Config {
+	cfg.RatePerSec = 0
+	cfg.Schedule = nil
+	return cfg.Defaults()
+}
+
+// Word counts of the three blocks an interval result encodes: the
+// header, a measured Result's scalars and one CoreStats.
+const (
+	headerWords = 4
+	resultWords = 2*int(cstate.NumStates) + 3 + 5*7 + 7
+	coreWords   = int(cstate.NumStates) + 1
+)
+
+// wordCodec moves fields to or from a word block in one fixed order, so
+// the encoder and the decoder of a block are one function.
+type wordCodec struct {
+	w    []uint64
+	n    int
+	load bool
+}
+
+func (c *wordCodec) u64(p *uint64) {
+	if c.load {
+		*p = c.w[c.n]
+	} else {
+		c.w[c.n] = *p
+	}
+	c.n++
+}
+
+func (c *wordCodec) i64(p *int64) {
+	if c.load {
+		*p = int64(c.w[c.n])
+	} else {
+		c.w[c.n] = uint64(*p)
+	}
+	c.n++
+}
+
+func (c *wordCodec) f64(p *float64) {
+	if c.load {
+		*p = math.Float64frombits(c.w[c.n])
+	} else {
+		c.w[c.n] = math.Float64bits(*p)
+	}
+	c.n++
+}
+
+func (c *wordCodec) int(p *int) {
+	v := int64(*p)
+	c.i64(&v)
+	*p = int(v)
+}
+
+// header, result and core code the three blocks.
+func (c *wordCodec) header(r *IntervalResult) {
+	c.int(&r.Index)
+	c.i64((*int64)(&r.Start))
+	c.i64((*int64)(&r.End))
+	c.f64(&r.RateQPS)
+}
+
+func (c *wordCodec) result(res *Result) {
+	for i := range res.Residency {
+		c.f64(&res.Residency[i])
+	}
+	for i := range res.TransitionsPerSec {
+		c.f64(&res.TransitionsPerSec[i])
+	}
+	c.f64(&res.AvgCorePowerW)
+	c.f64(&res.PackagePowerW)
+	c.f64(&res.EnergyJ)
+	for _, l := range [...]*LatencySummary{&res.Server, &res.EndToEnd, &res.Breakdown.Wake, &res.Breakdown.Queue, &res.Breakdown.Service} {
+		c.u64(&l.Count)
+		for _, v := range [...]*float64{&l.AvgUS, &l.P50US, &l.P95US, &l.P99US, &l.P999US, &l.MaxUS} {
+			c.f64(v)
+		}
+	}
+	c.f64(&res.CompletedPerSec)
+	c.f64(&res.TurboFraction)
+	c.i64((*int64)(&res.MeasuredDuration))
+	c.f64(&res.UncoreAvgW)
+	c.f64(&res.PkgIdleFraction)
+	c.u64(&res.SnoopsServed)
+	c.int(&res.MaxQueueDepth)
+}
+
+func (c *wordCodec) core(cs *CoreStats) {
+	for i := range cs.Residency {
+		c.f64(&cs.Residency[i])
+	}
+	c.f64(&cs.AvgPowerW)
+}
+
+// AppendIntervalResult appends one interval measurement as word blocks
+// (snapbuf.Encoder.Words: a parked or idle node's empty fields cost a
+// bit each). Result.Config is left out (SetResultConfig rebuilds it),
+// as is each CoreStats' Core, which is its position; a crashed
+// interval's Result is zero and only its header and flags are written.
+func AppendIntervalResult(e *snapbuf.Encoder, r *IntervalResult) {
+	var buf [resultWords]uint64
+	c := wordCodec{w: buf[:headerWords]}
+	c.header(r)
+	e.Words(c.w)
+	e.Bool(r.Parked)
+	e.Bool(r.Down)
+	e.Bool(r.Restarted)
+	if r.Down {
+		return
+	}
+	c = wordCodec{w: buf[:]}
+	c.result(&r.Result)
+	e.Words(c.w)
+	e.I64(int64(len(r.Result.PerCore)))
+	for i := range r.Result.PerCore {
+		c = wordCodec{w: buf[:coreWords]}
+		c.core(&r.Result.PerCore[i])
+		e.Words(c.w)
+	}
+}
+
+// DecodeIntervalResult reads what AppendIntervalResult wrote, leaving
+// Result.Config for SetResultConfig. A measured interval must carry one
+// CoreStats per core of the cores-core node that measured it. Errors go
+// to d.
+func DecodeIntervalResult(d *snapbuf.Decoder, cores int) IntervalResult {
+	var r IntervalResult
+	var buf [resultWords]uint64
+	c := wordCodec{w: buf[:headerWords], load: true}
+	d.Words(c.w)
+	c.header(&r)
+	r.Parked, r.Down, r.Restarted = d.Bool(), d.Bool(), d.Bool()
+	if r.Down || d.Err() != nil {
+		return r
+	}
+	c = wordCodec{w: buf[:], load: true}
+	d.Words(c.w)
+	c.result(&r.Result)
+	n := d.Count((coreWords + 7) / 8)
+	if d.Err() == nil && n != cores {
+		d.Fail(errors.New("server: corrupt interval result: per-core count differs from the core count"))
+	}
+	if d.Err() != nil {
+		return r
+	}
+	r.Result.PerCore = make([]CoreStats, n)
+	for i := range r.Result.PerCore {
+		c = wordCodec{w: buf[:coreWords], load: true}
+		d.Words(c.w)
+		r.Result.PerCore[i].Core = i
+		c.core(&r.Result.PerCore[i])
+	}
+	return r
+}
+
+// SetResultConfig sets a decoded interval's Result.Config the way
+// RunInterval sets it: base, the ResultConfig of the instance that
+// measured the interval, with the window's rate and length. A crashed
+// interval's Result stays zero.
+func SetResultConfig(r *IntervalResult, base *Config) {
+	if r.Down {
+		return
+	}
+	r.Result.Config = *base
+	r.Result.Config.RatePerSec = r.RateQPS
+	r.Result.Config.Duration = r.End - r.Start
 }

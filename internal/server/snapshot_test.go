@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"reflect"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/cstate"
 	"repro/internal/governor"
 	"repro/internal/sim"
+	"repro/internal/snapbuf"
 	"repro/internal/workload"
 )
 
@@ -157,14 +159,15 @@ func TestSnapshotIsStable(t *testing.T) {
 
 // TestSnapshotBytesPinned pins the snapshot encoding byte for byte: the
 // format carries no migration, so a checkpoint written by an earlier
-// build restores only while the config block, history and verification
-// block encode identically. The digests were recorded from the build
-// that introduced snapshotVersion 1; any intended format change must
-// bump the version and re-record them.
+// build restores only while the config block and the warm state encode
+// identically, and a simulator change that moves the state a run
+// reaches moves these bytes too. The digests were recorded from the
+// build that introduced snapshotVersion 2; any intended format or
+// simulator change must bump the version and re-record them.
 func TestSnapshotBytesPinned(t *testing.T) {
 	want := map[string]string{
-		"memcached": "f8aa1a813294133353ba02bfab1df793effcf52c0199ef780d9cf757b1df86ee",
-		"kafka":     "ab978951467c23141972d1e71803da80d9488e4160429443542205850f99e61b",
+		"memcached": "a5f71b16a3a70877d436c8f28ca6c34a378dc1acf3aca4902d36ece3dc68fffb",
+		"kafka":     "25ed1fb0e0e618fb9baabe09699f0cbd6d8e97a40611f8217cb12768fd1fffa9",
 	}
 	for prof, digest := range want {
 		cfg := snapCfg()
@@ -193,10 +196,10 @@ func TestSnapshotBytesPinned(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsCorruptPayloads is the strict-decode satellite:
-// every truncation of a valid snapshot, trailing garbage, an unknown
-// version byte, and a flipped boolean must all fail Restore — never
-// yield an instance silently built from a damaged document.
+// TestRestoreRejectsCorruptPayloads is the strict-decode net: every
+// truncation of a valid snapshot, trailing garbage, an unknown version
+// byte and flipped bytes must all fail Restore — never yield an
+// instance silently built from a damaged document.
 func TestRestoreRejectsCorruptPayloads(t *testing.T) {
 	ins, err := NewInstance(snapCfg(), false)
 	if err != nil {
@@ -219,19 +222,120 @@ func TestRestoreRejectsCorruptPayloads(t *testing.T) {
 	if _, err := Restore(append(append([]byte{}, blob...), 0xEE)); err == nil {
 		t.Error("Restore accepted trailing garbage")
 	}
-	bad := append([]byte{}, blob...)
-	bad[0] = snapshotVersion + 1
-	if _, err := Restore(bad); err == nil {
-		t.Error("Restore accepted an unknown version byte")
+	for _, v := range []byte{snapshotVersion - 1, snapshotVersion + 1} {
+		body := append([]byte{}, blob[:len(blob)-4]...)
+		body[0] = v
+		var e snapbuf.Encoder
+		e.Buf = body
+		e.Seal()
+		if _, err := Restore(e.Buf); err == nil {
+			t.Errorf("Restore accepted version %d under a valid checksum", v)
+		}
 	}
-	// A corruption that decodes cleanly must still be caught by replay
-	// verification: the payload ends with the RNG stream states, so
-	// flipping the final byte yields a structurally valid document whose
-	// recorded state can no longer match the replay.
-	tail := append([]byte{}, blob...)
-	tail[len(tail)-1] ^= 0x01
-	if _, err := Restore(tail); err == nil {
-		t.Error("Restore accepted a payload with a corrupted verification block")
+	// A flip anywhere, even in a float no structural check could
+	// doubt, fails the CRC-32C trailer.
+	for _, off := range []int{1, len(blob) / 2, len(blob) - 5, len(blob) - 1} {
+		bad := append([]byte{}, blob...)
+		bad[off] ^= 0x01
+		if _, err := Restore(bad); err == nil {
+			t.Errorf("Restore accepted a payload with byte %d of %d flipped", off, len(blob))
+		}
+	}
+}
+
+// TestRestoreRejectsUnrunnableState reseals snapshots carrying one
+// extra pending event, so only the decoder's consistency check can
+// refuse them. Each extra timer contradicts the state it acts on: a
+// completion on a core with nothing in execution (firing it would run
+// the idle entry on an idle core and panic in the C-state machine), a
+// second entry or exit timer, a second snoop timer, a package timer
+// the instance does not hold, and a core index out of range. A
+// harmless extra (a snoop return, which checks its idle episode) must
+// still restore, and it and the pristine payload must step on.
+func TestRestoreRejectsUnrunnableState(t *testing.T) {
+	ins, err := NewInstance(snapCfg(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustInterval(t, ins, 8*sim.Millisecond, 170e3)
+	blob, err := ins.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := ins.s
+	idle := -1
+	for i, c := range s.cores {
+		if !c.busy {
+			idle = i
+			break
+		}
+	}
+	if idle < 0 {
+		t.Fatal("no idle core at the boundary")
+	}
+
+	// The engine's state opens the instance state: clock, sequence
+	// counter, fired count, event count, then 48-byte event records.
+	fp, err := snapshottable(&ins.orig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pre snapbuf.Encoder
+	pre.U8(snapshotVersion)
+	encodeConfig(&pre, &ins.orig, fp)
+	pre.Bool(ins.park)
+	pre.Bool(ins.started)
+	pre.I64(int64(ins.index))
+	pre.U64(ins.preSnoops)
+	countOff := len(pre.Buf) + 3*8
+	pending := s.eng.Pending()
+	if got := binary.BigEndian.Uint64(blob[countOff:]); got != uint64(pending) {
+		t.Fatalf("offset %d holds %d, not the %d pending events", countOff, got, pending)
+	}
+	// withEvent appends one event after every pending one (the latest
+	// time keeps the canonical order, and the held positions still
+	// point where they did) and reseals the document.
+	withEvent := func(k sim.Kind, core uint64) []byte {
+		end := countOff + 8 + pending*48
+		var e snapbuf.Encoder
+		e.Buf = append(e.Buf, blob[:countOff]...)
+		e.I64(int64(pending + 1))
+		e.Buf = append(e.Buf, blob[countOff+8:end]...)
+		e.I64(int64(sim.MaxTime - 1))
+		e.I64(0)
+		e.U64(1)
+		e.U64(uint64(k))
+		e.U64(core)
+		e.U64(0)
+		e.Buf = append(e.Buf, blob[end:len(blob)-4]...)
+		e.Seal()
+		return e.Buf
+	}
+	for _, tc := range []struct {
+		name string
+		kind sim.Kind
+		core int
+	}{
+		{"completion on an idle core", s.kComplete, idle},
+		{"extra entry timer", s.kEntryDone, idle},
+		{"extra exit timer", s.kExitDone, idle},
+		{"second snoop timer", s.kSnoopNext, idle},
+		{"package timer not held", s.kPkgIdle, 0},
+		{"core out of range", s.kSnoopRet, len(s.cores)},
+	} {
+		if _, err := Restore(withEvent(tc.kind, uint64(tc.core))); err == nil {
+			t.Errorf("%s: Restore accepted it", tc.name)
+		}
+	}
+	for name, payload := range map[string][]byte{
+		"pristine":             blob,
+		"harmless extra event": withEvent(s.kSnoopRet, uint64(idle)),
+	} {
+		got, err := Restore(payload)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		mustInterval(t, got, 4*sim.Millisecond, 150e3)
 	}
 }
 
@@ -301,10 +405,12 @@ func TestRunIntervalValidation(t *testing.T) {
 	}
 }
 
-// FuzzSnapshotRestoreDeterminism drives the fork-determinism property
-// from arbitrary inputs: run a short random interval script, snapshot
-// at a fuzzer-chosen boundary, restore, and require the remainder of
-// the script to replay bit-identically on parent and child.
+// FuzzSnapshotRestoreDeterminism drives restore determinism from
+// arbitrary inputs: run a short random interval script, snapshot at a
+// fuzzer-chosen boundary and restore. The reference is a fresh
+// instance replaying the same script: at the boundary the parent, the
+// restored child and the replay must snapshot byte-equal, and every
+// remaining interval, and the final snapshots, must agree on all three.
 func FuzzSnapshotRestoreDeterminism(f *testing.F) {
 	f.Add(uint64(21), uint16(180), uint8(2), uint8(5), false)
 	f.Add(uint64(7), uint16(40), uint8(0), uint8(3), true)
@@ -334,24 +440,34 @@ func FuzzSnapshotRestoreDeterminism(f *testing.F) {
 			}
 			return r
 		}
-		for i := 0; i < cut; i++ {
-			mustInterval(t, parent, 3*sim.Millisecond, rateAt(i))
-		}
-		blob, err := parent.Snapshot()
+		ref, err := NewInstance(cfg, park)
 		if err != nil {
 			t.Fatal(err)
 		}
+		for i := 0; i < cut; i++ {
+			mustInterval(t, parent, 3*sim.Millisecond, rateAt(i))
+			mustInterval(t, ref, 3*sim.Millisecond, rateAt(i))
+		}
+		blob := mustSnapshot(t, parent)
 		child, err := Restore(blob)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if !bytes.Equal(mustSnapshot(t, child), blob) || !bytes.Equal(mustSnapshot(t, ref), blob) {
+			t.Fatalf("at boundary %d the restored child or the replay snapshots differently from the parent", cut)
+		}
 		for i := cut; i < nIv; i++ {
-			pr := mustInterval(t, parent, 3*sim.Millisecond, rateAt(i))
-			cr := mustInterval(t, child, 3*sim.Millisecond, rateAt(i))
-			if !reflect.DeepEqual(pr, cr) {
-				t.Fatalf("interval %d diverged after restore at boundary %d\nparent: %+v\n child: %+v",
-					i, cut, pr, cr)
+			rr := mustInterval(t, ref, 3*sim.Millisecond, rateAt(i))
+			for name, ins := range map[string]*Instance{"parent": parent, "child": child} {
+				if got := mustInterval(t, ins, 3*sim.Millisecond, rateAt(i)); !reflect.DeepEqual(got, rr) {
+					t.Fatalf("interval %d: the %s diverged from the replay after a restore at boundary %d\n%s: %+v\nreplay: %+v",
+						i, name, cut, name, got, rr)
+				}
 			}
+		}
+		final := mustSnapshot(t, ref)
+		if !bytes.Equal(mustSnapshot(t, parent), final) || !bytes.Equal(mustSnapshot(t, child), final) {
+			t.Fatal("final snapshots differ from the replay's")
 		}
 	})
 }

@@ -25,9 +25,13 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"sort"
 	"time"
+
+	"repro/internal/snapbuf"
 )
 
 // Time is a simulation timestamp in nanoseconds since simulation start.
@@ -94,6 +98,9 @@ func (e *Event) When() Time { return e.when }
 
 // Canceled reports whether the event has been canceled.
 func (e *Event) Canceled() bool { return e.canceled }
+
+// Kind reports the event's typed kind (0 for a closure event).
+func (e *Event) Kind() Kind { return e.kind }
 
 // before is the strict ordering used by the heap: (when, priority, seq).
 func (a *Event) before(b *Event) bool {
@@ -415,6 +422,133 @@ func (e *Engine) CloneInto(dst *Engine, held ...**Event) error {
 	}
 	dst.now, dst.seq, dst.fired, dst.stopped = e.now, e.seq, e.fired, e.stopped
 	dst.queue = q
+	return nil
+}
+
+// eventBytes is the encoded size of one pending event (see AppendState).
+const eventBytes = 6 * 8
+
+// AppendState appends the engine's clock, sequence counter, fired count
+// and pending typed events in canonical (when, priority, seq) order,
+// then, for each held handle, its position in that order (-1 for nil).
+// The pending order, not the heap layout, fixes the future: the heap
+// pops events in that order whatever its array looks like, so two
+// engines that will fire the same events encode to the same bytes.
+// Like CloneInto it refuses closure events and a held handle that is
+// not pending, and must not run from inside a handler.
+func (e *Engine) AppendState(enc *snapbuf.Encoder, held ...*Event) error {
+	evs := append(make([]*Event, 0, len(e.queue)), e.queue...)
+	sort.Slice(evs, func(i, j int) bool { return evs[i].before(evs[j]) })
+	enc.I64(int64(e.now))
+	enc.U64(e.seq)
+	enc.U64(e.fired)
+	enc.I64(int64(len(evs)))
+	for _, ev := range evs {
+		if ev.kind == 0 {
+			return fmt.Errorf("sim: cannot encode a closure event (at %v)", ev.when)
+		}
+		enc.I64(int64(ev.when))
+		enc.I64(int64(ev.priority))
+		enc.U64(ev.seq)
+		enc.U64(uint64(ev.kind))
+		enc.U64(ev.a0)
+		enc.U64(ev.a1)
+	}
+	for _, h := range held {
+		pos := -1
+		if h != nil {
+			for i, ev := range evs {
+				if ev == h {
+					pos = i
+					break
+				}
+			}
+			if pos < 0 {
+				return fmt.Errorf("sim: held event at %v is not pending", h.when)
+			}
+		}
+		enc.I64(int64(pos))
+	}
+	return nil
+}
+
+// DecodeState loads what AppendState wrote into e, a fresh engine whose
+// model registered the same typed handlers in the same order, and
+// points each *held at the decoded event recorded in its position (nil
+// for -1). It checks what the engine itself can: a clock that is not
+// negative, registered kinds, priorities that fit, strictly canonical
+// order, no event before the clock or with a sequence number the
+// counter has not issued. Payload words belong to the model, which
+// checks them with CheckPending. Errors go to d.
+func (e *Engine) DecodeState(d *snapbuf.Decoder, held ...**Event) {
+	if len(e.queue) != 0 || e.seq != 0 {
+		d.Fail(errors.New("sim: decode target is not a fresh engine"))
+		return
+	}
+	now, seq, fired := Time(d.I64()), d.U64(), d.U64()
+	evs := make([]Event, d.Count(eventBytes))
+	for i := range evs {
+		ev := &evs[i]
+		ev.when = Time(d.I64())
+		prio := d.I64()
+		ev.seq = d.U64()
+		kind := d.U64()
+		ev.a0, ev.a1 = d.U64(), d.U64()
+		ev.index = -1
+		if d.Err() != nil {
+			return
+		}
+		switch {
+		case prio < math.MinInt32 || prio > math.MaxInt32:
+			d.Fail(fmt.Errorf("sim: corrupt event priority %d", prio))
+		case kind == 0 || kind >= uint64(len(e.table)):
+			d.Fail(fmt.Errorf("sim: corrupt event kind %d (%d registered)", kind, len(e.table)-1))
+		case ev.when < now || ev.seq > seq:
+			d.Fail(fmt.Errorf("sim: corrupt event at %v (clock %v, seq %d of %d)", ev.when, now, ev.seq, seq))
+		}
+		ev.priority, ev.kind = int32(prio), Kind(kind)
+		if i > 0 && !evs[i-1].before(ev) {
+			d.Fail(errors.New("sim: pending events out of order"))
+		}
+		if d.Err() != nil {
+			return
+		}
+	}
+	pos := make([]int64, len(held))
+	for i := range pos {
+		if pos[i] = d.I64(); pos[i] < -1 || pos[i] >= int64(len(evs)) {
+			d.Fail(fmt.Errorf("sim: corrupt held-event position %d", pos[i]))
+		}
+	}
+	if now < 0 {
+		d.Fail(fmt.Errorf("sim: corrupt clock %v", now))
+	}
+	if d.Err() != nil {
+		return
+	}
+	e.now, e.seq, e.fired = now, seq, fired
+	e.queue = make(eventQueue, 0, len(evs))
+	for i := range evs {
+		e.queue.push(&evs[i]) // sorted input: every push stays a leaf
+	}
+	for i, h := range held {
+		*h = nil
+		if pos[i] >= 0 {
+			*h = &evs[pos[i]]
+		}
+	}
+}
+
+// CheckPending calls valid on every pending typed event's kind and
+// payload words and returns an error for the first it rejects: the
+// model's check, after DecodeState, that every payload names something
+// it holds (a core index in range, say).
+func (e *Engine) CheckPending(valid func(k Kind, a0, a1 uint64) bool) error {
+	for _, ev := range e.queue {
+		if !valid(ev.kind, ev.a0, ev.a1) {
+			return fmt.Errorf("sim: corrupt payload (%d, %d) for event kind %d at %v", ev.a0, ev.a1, ev.kind, ev.when)
+		}
+	}
 	return nil
 }
 

@@ -8,9 +8,12 @@
 package stats
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
+
+	"repro/internal/snapbuf"
 )
 
 // Stream accumulates streaming count/mean/variance/min/max using
@@ -167,6 +170,79 @@ func (h *Histogram) Clone() *Histogram {
 	c := *h
 	c.counts = append([]uint64(nil), h.counts...)
 	return &c
+}
+
+// AppendState appends the histogram's samples: the nonzero buckets in
+// index order as (index, count) pairs, then the sample count, sum, max
+// and min. The bucket array's length is not state: quantiles and merges
+// skip empty buckets, and Add grows the array on demand.
+func (h *Histogram) AppendState(e *snapbuf.Encoder) {
+	nonzero := 0
+	for _, c := range h.counts {
+		if c != 0 {
+			nonzero++
+		}
+	}
+	e.Grow(8 + 16*nonzero + 4*8)
+	e.I64(int64(nonzero))
+	for i, c := range h.counts {
+		if c != 0 {
+			e.I64(int64(i))
+			e.U64(c)
+		}
+	}
+	e.U64(h.n)
+	e.F64(h.sum)
+	e.F64(h.max)
+	e.F64(h.min)
+}
+
+// maxStateSample bounds the samples a decoded histogram may hold: the
+// simulator records durations of its int64 clock, so every sample lies
+// below 2^63. A bucket index past it is corrupt, which also caps what
+// one decoded histogram allocates at 64 KiB.
+const maxStateSample = 0x1p63
+
+// DecodeState replaces h's samples with what AppendState wrote, keeping
+// h's geometry. Bucket indices must increase strictly and stay below
+// maxStateSample's bucket, counts must be nonzero and sum to the sample
+// count. The bucket array is allocated up to the last nonzero bucket.
+// Errors go to d.
+func (h *Histogram) DecodeState(d *snapbuf.Decoder) {
+	type bucket struct {
+		i int64
+		c uint64
+	}
+	buckets := make([]bucket, d.Count(16))
+	limit := int64(h.bucketOf(maxStateSample))
+	var total uint64
+	prev := int64(-1)
+	for k := range buckets {
+		b := bucket{d.I64(), d.U64()}
+		if d.Err() != nil {
+			return
+		}
+		if b.i <= prev || b.i >= limit || b.c == 0 || total+b.c < total {
+			d.Fail(fmt.Errorf("stats: corrupt histogram bucket %d (count %d)", b.i, b.c))
+			return
+		}
+		total += b.c
+		buckets[k] = b
+		prev = b.i
+	}
+	n, sum, max, min := d.U64(), d.F64(), d.F64(), d.F64()
+	if d.Err() != nil {
+		return
+	}
+	if n != total {
+		d.Fail(fmt.Errorf("stats: corrupt histogram: %d samples in buckets holding %d", n, total))
+		return
+	}
+	h.counts = make([]uint64, prev+1)
+	for _, b := range buckets {
+		h.counts[b.i] = b.c
+	}
+	h.n, h.sum, h.max, h.min = n, sum, max, min
 }
 
 // Merge folds every sample recorded in o into h, bucket for bucket.
@@ -432,6 +508,43 @@ func (r *Residency) Clone() *Residency {
 	return &c
 }
 
+// AppendState appends the tracker's per-state times and transition
+// counts, its current state, and its since/started/closed marks. The
+// labels are construction input.
+func (r *Residency) AppendState(e *snapbuf.Encoder) {
+	for _, v := range r.timeIn {
+		e.I64(v)
+	}
+	for _, v := range r.transitions {
+		e.U64(v)
+	}
+	e.I64(int64(r.current))
+	e.I64(r.since)
+	e.I64(r.started)
+	e.Bool(r.closed)
+}
+
+// DecodeState loads what AppendState wrote into r, a tracker built over
+// the same labels, rejecting a current state out of range or marks out
+// of order or past now (the owner's clock). Errors go to d.
+func (r *Residency) DecodeState(d *snapbuf.Decoder, now int64) {
+	for i := range r.timeIn {
+		r.timeIn[i] = d.I64()
+	}
+	for i := range r.transitions {
+		r.transitions[i] = d.U64()
+	}
+	cur, since, started, closed := d.I64(), d.I64(), d.I64(), d.Bool()
+	if d.Err() != nil {
+		return
+	}
+	if cur < 0 || cur >= int64(len(r.labels)) || started > since || since > now {
+		d.Fail(errors.New("stats: corrupt residency tracker"))
+		return
+	}
+	r.current, r.since, r.started, r.closed = int(cur), since, started, closed
+}
+
 // EnergyMeter integrates power over time. Power is piecewise-constant
 // between SetPower calls, which matches the per-C-state power model.
 type EnergyMeter struct {
@@ -489,6 +602,28 @@ func (m *EnergyMeter) advance(now int64) {
 	}
 	m.joules += m.power * float64(now-m.since) / 1e9
 	m.since = now
+}
+
+// AppendState appends the meter's energy, power and time marks.
+func (m *EnergyMeter) AppendState(e *snapbuf.Encoder) {
+	e.F64(m.joules)
+	e.F64(m.power)
+	e.I64(m.since)
+	e.I64(m.started)
+}
+
+// DecodeState loads what AppendState wrote, rejecting time marks out of
+// order or past now (the owner's clock). Errors go to d.
+func (m *EnergyMeter) DecodeState(d *snapbuf.Decoder, now int64) {
+	joules, power, since, started := d.F64(), d.F64(), d.I64(), d.I64()
+	if d.Err() != nil {
+		return
+	}
+	if started > since || since > now {
+		d.Fail(errors.New("stats: corrupt energy meter"))
+		return
+	}
+	m.joules, m.power, m.since, m.started = joules, power, since, started
 }
 
 // SortedSeries is a sorted copy of a data series that serves any number

@@ -7,10 +7,12 @@
 package turbo
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
 	"repro/internal/sim"
+	"repro/internal/snapbuf"
 )
 
 // FreqPlan holds the platform's frequency points in Hz.
@@ -118,6 +120,25 @@ func (b *Budget) Update(nowNS int64, packageW float64) {
 		b.storedJ = 0
 	}
 	b.lastNS = nowNS
+}
+
+// AppendState appends the stored headroom and the integrator's time
+// mark; the sustained power, capacity and charge efficiency are
+// construction input.
+func (b *Budget) AppendState(e *snapbuf.Encoder) {
+	e.F64(b.storedJ)
+	e.I64(b.lastNS)
+}
+
+// DecodeState loads what AppendState wrote, rejecting a time mark past
+// nowNS (the owner's clock), where the next Update would run backwards.
+func (b *Budget) DecodeState(d *snapbuf.Decoder, nowNS int64) {
+	stored, last := d.F64(), d.I64()
+	if d.Err() == nil && last > nowNS {
+		d.Fail(errors.New("turbo: corrupt budget time mark"))
+		return
+	}
+	b.storedJ, b.lastNS = stored, last
 }
 
 // Stored returns the current headroom in joules.

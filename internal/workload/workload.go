@@ -18,6 +18,7 @@ import (
 	"strconv"
 
 	"repro/internal/sim"
+	"repro/internal/snapbuf"
 	"repro/internal/xrand"
 )
 
@@ -38,6 +39,11 @@ type CloneableArrival interface {
 	// CloneArrival returns an independent copy carrying the same
 	// parameters and current modulation state.
 	CloneArrival() ArrivalProcess
+	// AppendState appends the modulation state CloneArrival copies, and
+	// DecodeState loads it into a copy with the same parameters (errors
+	// go to d): how a snapshot carries the process.
+	AppendState(e *snapbuf.Encoder)
+	DecodeState(d *snapbuf.Decoder)
 }
 
 // fingerprinter is implemented by workload components whose behavior is
@@ -102,6 +108,18 @@ func (m *MMPP2) Name() string { return "mmpp2" }
 func (m *MMPP2) CloneArrival() ArrivalProcess {
 	cp := *m
 	return &cp
+}
+
+// AppendState implements CloneableArrival: the burst phase and the
+// dwell time left in it.
+func (m *MMPP2) AppendState(e *snapbuf.Encoder) {
+	e.Bool(m.bursting)
+	e.F64(m.dwellLeft)
+}
+
+// DecodeState implements CloneableArrival.
+func (m *MMPP2) DecodeState(d *snapbuf.Decoder) {
+	m.bursting, m.dwellLeft = d.Bool(), d.F64()
 }
 
 func (m *MMPP2) appendFingerprint(b []byte) []byte {

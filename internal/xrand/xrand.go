@@ -10,6 +10,8 @@ package xrand
 import (
 	"errors"
 	"math"
+
+	"repro/internal/snapbuf"
 )
 
 // splitmix64 is used to derive stream seeds; xoshiro256** generates the
@@ -85,6 +87,28 @@ func (r *Rand) SetState(s [4]uint64) error {
 	}
 	r.s = s
 	return nil
+}
+
+// AppendState appends the stream position (State); the log-normal memo
+// is derived and left out, as in State.
+func (r *Rand) AppendState(e *snapbuf.Encoder) {
+	for _, w := range r.s {
+		e.U64(w)
+	}
+}
+
+// DecodeState installs a position AppendState wrote (see SetState).
+// Errors go to d.
+func (r *Rand) DecodeState(d *snapbuf.Decoder) {
+	var s [4]uint64
+	for i := range s {
+		s[i] = d.U64()
+	}
+	if d.Err() == nil {
+		if err := r.SetState(s); err != nil {
+			d.Fail(err)
+		}
+	}
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

@@ -30,8 +30,10 @@ func NewLiveScenario(r ScenarioRun) (*LiveScenario, error) {
 // RestoreLiveScenario rebuilds a fleet checkpoint taken by
 // LiveScenario.Snapshot. The run description must be the one the
 // checkpoint was taken under — the snapshot carries the fleet's
-// identity and the restore verifies it, then replays the recorded
-// epochs and fails loudly on any divergence from the captured state.
+// identity and the restore verifies it. The checkpoint's checksum is
+// checked first; then every node is rebuilt from its description and
+// its warm state decoded over it, so a restore takes time in the
+// fleet's state, not in the epochs already stepped.
 func RestoreLiveScenario(r ScenarioRun, data []byte) (*LiveScenario, error) {
 	cfg, err := scenarioConfig(r)
 	if err != nil {
@@ -41,9 +43,10 @@ func RestoreLiveScenario(r ScenarioRun, data []byte) (*LiveScenario, error) {
 }
 
 // RestoreServiceInstance rebuilds a resumable single-server simulation
-// from a ServiceInstance.Snapshot payload: strict decode, deterministic
-// replay of the captured interval history, and verification that the
-// replayed engine state matches the capture exactly.
+// from a ServiceInstance.Snapshot payload: checksum, strict decode of
+// the construction config, and the warm state (event queue, C-state
+// machines, request rings, RNG streams, collector) decoded over a
+// freshly built instance. Nothing is re-simulated.
 func RestoreServiceInstance(data []byte) (*ServiceInstance, error) {
 	return server.Restore(data)
 }

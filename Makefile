@@ -28,7 +28,8 @@ bench:
 # quick evaluation (one pass per sample).
 bench-micro:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 0.3s -count 6 \
-		./internal/sim ./internal/stats ./internal/server ./internal/cluster ./internal/runner
+		./internal/sim ./internal/stats ./internal/server ./internal/cluster ./internal/runner \
+		./internal/scenariofile
 	$(GO) test -run '^$$' -bench '^BenchmarkQuickEvaluation$$' -benchmem -benchtime 1x -count 6 .
 
 # CPU-profile one benchmark (default BenchmarkRunService) and open the
@@ -53,7 +54,7 @@ profile-mem:
 bench-json:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 0.3s -count 6 \
 		./internal/sim ./internal/stats ./internal/server ./internal/cluster ./internal/runner \
-		| tee $(PROF_DIR)/bench-micro.txt
+		./internal/scenariofile | tee $(PROF_DIR)/bench-micro.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkQuickEvaluation$$' -benchmem -benchtime 1x -count 6 . \
 		| tee -a $(PROF_DIR)/bench-micro.txt
 	$(GO) run ./cmd/benchgate -new $(PROF_DIR)/bench-micro.txt \

@@ -16,8 +16,9 @@ import (
 // added the overload admission policy to the identity block; version 3
 // changed how an unforced epoch after a forced one replayed its
 // admission. Version 4 stores the fleet's state instead of a history to
-// replay, and ends in a CRC-32C.
-const liveSnapshotVersion = 4
+// replay, and ends in a CRC-32C. Version 5 carries instance state
+// without the engine's per-event priority word.
+const liveSnapshotVersion = 5
 
 // Byte sizes the decoder checks counts against before it allocates:
 // the smallest encoding of one epoch record (decision, window, account

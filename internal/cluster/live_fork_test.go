@@ -127,6 +127,29 @@ func BenchmarkLiveFork(b *testing.B) {
 	}
 }
 
+// BenchmarkLiveStep measures one epoch step of the twin-shaped fleet:
+// routing, every class's node interval and the controller's decision,
+// averaged over whole days (a finished day is replaced, untimed, by a
+// fresh fleet).
+func BenchmarkLiveStep(b *testing.B) {
+	cfg := twinScenario(256 * sim.Millisecond)
+	var l *Live
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if l == nil || l.Done() {
+			b.StopTimer()
+			var err error
+			if l, err = NewLive(cfg); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		if _, err := l.Step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRestoreLive measures a checkpoint restore of the twin-shaped
 // fleet taken at epoch 120: the checksum, the decode of the recorded
 // epochs and measurements, and every class's node rebuilt from its

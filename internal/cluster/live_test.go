@@ -348,7 +348,7 @@ func TestLiveSnapshotRestore(t *testing.T) {
 }
 
 // TestLiveSnapshotBytesPinned pins a fleet checkpoint byte for byte,
-// recorded from the build that introduced liveSnapshotVersion 4:
+// recorded from the build that introduced liveSnapshotVersion 5:
 // checkpoints carry no migration, so one written earlier restores only
 // while the fleet and per-instance encodings stay identical. A
 // restore no longer re-simulates, so this digest is what catches a
@@ -365,7 +365,7 @@ func TestLiveSnapshotBytesPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "a264b1ab26e1298819fa5f71d9dbb51e4fe8fa7ae5b9bafb1ca83fd9fe51590c"
+	const want = "abeb7b078c0a5890d8fe286b29215a22027a4ad87d4b6ed46b3cc05aa757c496"
 	if got := fmt.Sprintf("%x", sha256.Sum256(blob)); got != want {
 		t.Errorf("fleet snapshot sha256 = %s, want %s", got, want)
 	}

@@ -101,12 +101,12 @@ func TestRandomDispatchSpreadsLoad(t *testing.T) {
 
 func TestUnknownPolicyRejected(t *testing.T) {
 	cfg := dispatchCfg("fifo", 100e3)
-	if _, err := New(cfg); err == nil {
+	if _, err := RunConfig(cfg); err == nil {
 		t.Fatal("unknown dispatch policy accepted")
 	}
 	lg := quickCfg(governor.Baseline, 100e3)
 	lg.LoadGen = "replay"
-	if _, err := New(lg); err == nil {
+	if _, err := RunConfig(lg); err == nil {
 		t.Fatal("unknown load generator accepted")
 	}
 }
@@ -146,7 +146,7 @@ func TestClosedLoopViaLoadGenName(t *testing.T) {
 	// Selecting closed-loop without connections is rejected.
 	bad := quickCfg(governor.Baseline, 0)
 	bad.LoadGen = LoadClosedLoop
-	if _, err := New(bad); err == nil {
+	if _, err := RunConfig(bad); err == nil {
 		t.Fatal("closed-loop with zero connections accepted")
 	}
 }

@@ -17,11 +17,12 @@ import (
 // epoch.
 //
 // The offered load is piecewise-constant: each RunInterval names its
-// window's rate, overriding Config.RatePerSec/Schedule (which the
-// Instance ignores). Under an unchanged rate an interval boundary is
+// window's rate, overriding Config.RatePerSec/Schedule (which
+// NewInstance clears). Under an unchanged rate an interval boundary is
 // event-for-event invisible: RunInterval(a) followed by RunInterval(b)
 // replays the identical event sequence as a single RunInterval(a+b)
 // (property-tested across every load generator and dispatch policy).
+// RunConfig is the first interval of an instance.
 //
 // With park-on-zero-rate enabled, a zero-rate interval is simulated as
 // a real node quiesce rather than approximated by an energy penalty:
@@ -39,8 +40,8 @@ type Instance struct {
 	started bool
 	index   int
 	// preSnoops is the snoop count before the current interval, so each
-	// IntervalResult reports its own window's snoops (interval 0 keeps
-	// the one-shot semantics of counting warmup snoops too).
+	// IntervalResult reports its own window's snoops (interval 0, which
+	// is what RunConfig reports, counts warmup snoops too).
 	preSnoops uint64
 	// orig is the construction config exactly as handed to NewInstance
 	// (rate/schedule zeroed, defaults NOT applied) — what Snapshot
@@ -62,7 +63,7 @@ type IntervalResult struct {
 	Parked bool
 	// Result is the interval's full measurement. Config.RatePerSec and
 	// Config.Duration reflect the interval, so a warm interval result is
-	// field-for-field comparable with a one-shot run of that window.
+	// field-for-field comparable with a RunConfig run of that window.
 	Result Result
 	// Down reports a crash interval: the node's instance was discarded
 	// and nothing was simulated — Result is zero, the window simply
@@ -76,7 +77,8 @@ type IntervalResult struct {
 
 // NewInstance constructs a resumable simulation from the config.
 // Config.RatePerSec, Schedule and Duration are ignored — every interval
-// brings its own rate and window; Warmup is paid once, inside the first
+// brings its own rate and window (RunConfig alone keeps the Schedule,
+// for its one interval); Warmup is paid once, inside the first
 // RunInterval. parkOnZeroRate makes zero-rate intervals quiesce the
 // node (see the Instance doc). A closed-loop instance is resumable like
 // any other but its load is an emergent property of connections and
@@ -86,11 +88,19 @@ type IntervalResult struct {
 func NewInstance(cfg Config, parkOnZeroRate bool) (*Instance, error) {
 	cfg.RatePerSec = 0
 	cfg.Schedule = nil
-	d := cfg.Defaults()
-	if parkOnZeroRate && (d.LoadGen == LoadClosedLoop || d.ClosedLoopConnections > 0) {
-		return nil, fmt.Errorf("server: closed-loop load cannot park on zero rate (its load ignores interval rates)")
+	return newInstance(cfg, parkOnZeroRate)
+}
+
+// newInstance is NewInstance for a config that may keep its RatePerSec
+// and Schedule: RunConfig's one interval validates the rate and, under
+// a schedule, looks it up arrival by arrival.
+func newInstance(cfg Config, parkOnZeroRate bool) (*Instance, error) {
+	if parkOnZeroRate {
+		if d := cfg.Defaults(); d.LoadGen == LoadClosedLoop || d.ClosedLoopConnections > 0 {
+			return nil, fmt.Errorf("server: closed-loop load cannot park on zero rate (its load ignores interval rates)")
+		}
 	}
-	s, err := newSim(cfg, true)
+	s, err := newSim(cfg)
 	if err != nil {
 		return nil, err
 	}

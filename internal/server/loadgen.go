@@ -55,10 +55,8 @@ type LoadGen interface {
 	decodeState(d *snapbuf.Decoder)
 }
 
-// newLoadGen constructs the named generator. inst marks instance mode,
-// where the offered rate arrives per interval instead of through
-// Config.RatePerSec/Schedule.
-func newLoadGen(cfg Config, inst bool) (LoadGen, error) {
+// newLoadGen constructs the named generator.
+func newLoadGen(cfg Config) (LoadGen, error) {
 	switch cfg.LoadGen {
 	case LoadOpenLoop:
 		return openLoopGen{}, nil
@@ -68,14 +66,9 @@ func newLoadGen(cfg Config, inst bool) (LoadGen, error) {
 		}
 		return closedLoopGen{}, nil
 	case LoadBursty:
-		if cfg.RatePerSec <= 0 && cfg.Schedule == nil && !inst {
-			return nil, fmt.Errorf("server: bursty load needs RatePerSec > 0")
-		}
-		on, off := float64(cfg.BurstOnTime), float64(cfg.BurstOffTime)
 		return &burstyGen{
-			onRate:  cfg.RatePerSec * (on + off) / on,
-			onMean:  on,
-			offMean: off,
+			onMean:  float64(cfg.BurstOnTime),
+			offMean: float64(cfg.BurstOffTime),
 		}, nil
 	default:
 		return nil, fmt.Errorf("server: unknown load generator %q (known: %v)", cfg.LoadGen, LoadGens())
@@ -97,17 +90,7 @@ func (openLoopGen) register(s *Sim) {
 	})
 }
 
-func (openLoopGen) Start(s *Sim) {
-	if s.instMode || s.cfg.Schedule != nil {
-		s.openLoopNext(0)
-		return
-	}
-	if s.cfg.RatePerSec <= 0 {
-		return
-	}
-	gap := s.cfg.Profile.Arrivals.NextGap(s.arrRand, s.cfg.RatePerSec)
-	s.eng.ScheduleKindAt(gap, s.kArrival, 0, 0)
-}
+func (openLoopGen) Start(s *Sim) { s.openLoopNext(0) }
 
 func (openLoopGen) OnComplete(*Sim, int, sim.Time) {}
 
@@ -133,37 +116,25 @@ func (s *Sim) openLoopArrival(now sim.Time, probe bool) {
 const zeroRateProbe = sim.Millisecond
 
 // openLoopNext schedules the next open-loop event after now. Without a
-// schedule the offered rate is the constant RatePerSec (the stationary
-// path, preserved bit-for-bit); with one, the rate is looked up at now —
-// a piecewise-constant-per-gap approximation of the schedule's rate
-// function. A zero rate schedules a probe (the next phase boundary or
-// zeroRateProbe, whichever is sooner) instead of an arrival; a drawn gap
-// that overshoots the next rate change is censored there and redrawn —
-// the exponential's memorylessness makes that the standard piecewise
-// non-homogeneous Poisson construction, and it keeps the generator live
-// across phases whose opening rate is tiny (a naive draw at, say,
-// 1 QPS would sleep past the whole schedule).
+// schedule the rate is the interval's instRate: piecewise-constant and
+// changed only at RunInterval boundaries (setIntervalRate cancels and
+// redraws there), so no probing or censoring is needed, and a zero rate
+// schedules nothing until the rate returns. With one, the rate is looked
+// up at now — a piecewise-constant-per-gap approximation of the
+// schedule's rate function. A zero rate schedules a probe (the next
+// phase boundary or zeroRateProbe, whichever is sooner) instead of an
+// arrival; a drawn gap that overshoots the next rate change is censored
+// there and redrawn — the exponential's memorylessness makes that the
+// standard piecewise non-homogeneous Poisson construction, and it keeps
+// the generator live across phases whose opening rate is tiny (a naive
+// draw at, say, 1 QPS would sleep past the whole schedule).
 func (s *Sim) openLoopNext(now sim.Time) {
-	rate := s.cfg.RatePerSec
-	if s.instMode {
-		// Instance mode: the rate is piecewise-constant and changes only
-		// at RunInterval boundaries (setIntervalRate cancels and redraws
-		// there), so no probing or censoring is needed; a zero-rate
-		// interval schedules nothing until the rate returns.
-		rate = s.instRate
+	rate := s.instRate
+	sch := s.cfg.Schedule
+	if sch != nil {
+		rate = sch.RateAt(now)
 		if rate <= 0 {
-			return
-		}
-		gap := s.cfg.Profile.Arrivals.NextGap(s.arrRand, rate)
-		if gap < sim.MaxTime-now {
-			s.arrEvent = s.eng.ScheduleKind(gap, s.kArrival, 0, 0)
-		}
-		return
-	}
-	if s.cfg.Schedule != nil {
-		rate = s.cfg.Schedule.RateAt(now)
-		if rate <= 0 {
-			next := s.cfg.Schedule.NextChange(now)
+			next := sch.NextChange(now)
 			if probe := now + zeroRateProbe; probe < next {
 				next = probe
 			}
@@ -173,15 +144,18 @@ func (s *Sim) openLoopNext(now sim.Time) {
 			return
 		}
 	}
+	if rate <= 0 {
+		return
+	}
 	gap := s.cfg.Profile.Arrivals.NextGap(s.arrRand, rate)
-	if s.cfg.Schedule != nil {
-		if next := s.cfg.Schedule.NextChange(now); next < sim.MaxTime && gap > next-now {
+	if sch != nil {
+		if next := sch.NextChange(now); next < sim.MaxTime && gap > next-now {
 			s.eng.ScheduleKindAt(next, s.kArrival, 1, 0)
 			return
 		}
 	}
 	if gap < sim.MaxTime-now {
-		s.eng.ScheduleKind(gap, s.kArrival, 0, 0)
+		s.arrEvent = s.eng.ScheduleKind(gap, s.kArrival, 0, 0)
 	}
 }
 
@@ -219,15 +193,14 @@ func (closedLoopGen) OnComplete(s *Sim, conn int, now sim.Time) {
 }
 
 // burstyGen alternates exponentially distributed ON bursts (Poisson
-// arrivals at onRate) with silent OFF gaps. Under a schedule, each ON
-// window's rate is re-derived from the schedule at burst start, so the
-// on/off texture persists while the envelope follows the phases.
+// arrivals at curRate) with silent OFF gaps. Each ON window's rate is
+// derived at burst start from the interval's rate (or the schedule's),
+// so the on/off texture persists while the envelope follows the load.
 type burstyGen struct {
-	onRate  float64 // instantaneous rate during a burst (1/s)
 	onMean  float64 // mean burst length (ns)
 	offMean float64 // mean silent gap (ns)
-	// curRate is the active ON-window rate, set at each burst start
-	// (equal to onRate when no schedule modulates the run).
+	// curRate is the active ON-window rate (1/s), set at each burst
+	// start.
 	curRate float64
 }
 
@@ -276,17 +249,16 @@ func (g *burstyGen) decodeState(d *snapbuf.Decoder) {
 }
 
 // burst runs one ON window starting now and schedules the next burst
-// after an OFF gap. Under a schedule the window's burst rate scales with
-// the phase rate at window start (same expression shape as the
-// stationary precompute, so a constant schedule is bit-identical);
-// zero-rate phases keep the on/off clock ticking but emit no arrivals.
+// after an OFF gap. The window's burst rate scales the offered rate at
+// window start (the interval's, or the schedule phase's) so the
+// long-run average is the offered rate; zero-rate windows keep the
+// on/off clock ticking but emit no arrivals.
 func (g *burstyGen) burst(s *Sim, now sim.Time) {
-	g.curRate = g.onRate
-	if s.instMode {
-		g.curRate = s.instRate * (g.onMean + g.offMean) / g.onMean
-	} else if s.cfg.Schedule != nil {
-		g.curRate = s.cfg.Schedule.RateAt(now) * (g.onMean + g.offMean) / g.onMean
+	rate := s.instRate
+	if s.cfg.Schedule != nil {
+		rate = s.cfg.Schedule.RateAt(now)
 	}
+	g.curRate = rate * (g.onMean + g.offMean) / g.onMean
 	dur := sim.Time(s.arrRand.Exp(g.onMean))
 	if dur < 1 {
 		dur = 1

@@ -39,14 +39,16 @@ type Config struct {
 	Profile workload.Profile
 	// RatePerSec is the aggregate offered load (QPS).
 	RatePerSec float64
-	// Schedule, when set, makes the offered load time-varying: the
-	// open-loop and bursty generators look the rate up per arrival (and
-	// per burst window) instead of holding RatePerSec, so one run sweeps
-	// through the schedule's phases. The schedule clock is the sim clock
-	// (time zero = warmup start); beyond its last phase the schedule
-	// holds its final rate. A constant schedule reproduces the stationary
-	// RatePerSec run bit-for-bit. Closed-loop load rejects schedules —
-	// its rate is an emergent property of connections and think time.
+	// Schedule, when set, makes a RunConfig run's offered load
+	// time-varying: the open-loop and bursty generators look the rate up
+	// per arrival (and per burst window) instead of reading the
+	// interval's RatePerSec, so one run sweeps through the schedule's
+	// phases. The schedule clock is the sim clock (time zero = warmup
+	// start); beyond its last phase the schedule holds its final rate.
+	// A constant schedule reproduces the RatePerSec run bit-for-bit.
+	// NewInstance clears it: an instance's intervals bring their own
+	// rates. Closed-loop load rejects schedules — its rate is an
+	// emergent property of connections and think time.
 	Schedule *scenario.Schedule
 	// Duration is the measured interval; Warmup runs before it.
 	Duration sim.Time
@@ -427,16 +429,14 @@ type Sim struct {
 	// stepping.
 	profArrivals workload.ArrivalProcess
 
-	// Instance-mode state (see instance.go). A resumable Instance drives
-	// the offered load as a piecewise-constant rate that changes only at
-	// RunInterval boundaries: instRate is the current interval's rate and
-	// arrEvent the pending open-loop arrival (tracked so a rate change
-	// can cancel and redraw it). parked marks a quiesced zero-load
-	// window: OS-noise injection is suppressed, idle selection goes
-	// straight to the deepest menu state, and the package idle model is
-	// armed regardless of Config.PkgIdleEnabled (pkgIdleOn). One-shot
-	// runs never set instMode, so their paths are untouched.
-	instMode bool
+	// Interval state (see instance.go). An Instance drives the offered
+	// load as a piecewise-constant rate that changes only at RunInterval
+	// boundaries: instRate is the current interval's rate and arrEvent
+	// the pending open-loop arrival (tracked so a rate change can cancel
+	// and redraw it). parked marks a quiesced zero-load window: OS-noise
+	// injection is suppressed, idle selection goes straight to the
+	// deepest menu state, and the package idle model is armed regardless
+	// of Config.PkgIdleEnabled (pkgIdleOn).
 	instRate float64
 	parked   bool
 	arrEvent *sim.Event
@@ -561,12 +561,9 @@ func (s *Sim) residencySnapshot(at sim.Time) [cstate.NumStates]float64 {
 	return out
 }
 
-// New constructs a simulation from the config (after applying defaults).
-func New(cfg Config) (*Sim, error) { return newSim(cfg, false) }
-
-// newSim is the shared constructor behind New (one-shot runs) and
-// NewInstance (resumable interval runs, inst true).
-func newSim(cfg Config, inst bool) (*Sim, error) {
+// newSim constructs a simulation from the config (after applying
+// defaults); an Instance runs it.
+func newSim(cfg Config) (*Sim, error) {
 	cfg = cfg.Defaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -586,10 +583,9 @@ func newSim(cfg Config, inst bool) (*Sim, error) {
 		col:     newCollector(),
 	}
 	s.profArrivals = profArrivals
-	s.instMode = inst
 	s.pkgIdleOn = cfg.PkgIdleEnabled
 	s.deepest, _ = cfg.Catalog.DeepestByResidency(cfg.Platform.Menu, sim.MaxTime)
-	gen, err := newLoadGen(cfg, inst)
+	gen, err := newLoadGen(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -930,7 +926,7 @@ func (s *Sim) noise(c *coreRuntime, now sim.Time) {
 }
 
 // startBackground seeds the per-core background processes (OS noise,
-// snoop traffic) at time zero — shared by Run and Instance startup.
+// snoop traffic) at time zero, when an Instance starts.
 func (s *Sim) startBackground() {
 	if s.cfg.OSNoisePeriod > 0 {
 		for i, c := range s.cores {
@@ -993,8 +989,8 @@ func (s *Sim) unpark(now sim.Time) {
 	}
 }
 
-// setIntervalRate installs the next interval's offered rate (instance
-// mode). An unchanged rate touches nothing, so splitting an interval is
+// setIntervalRate installs the next interval's offered rate. An
+// unchanged rate touches nothing, so splitting an interval is
 // event-for-event free; a changed rate cancels the pending open-loop
 // arrival (drawn at the old rate) and redraws from now — the standard
 // memoryless piecewise-constant construction, mirroring how the schedule
@@ -1016,24 +1012,19 @@ func (s *Sim) setIntervalRate(now sim.Time, rate float64) {
 	s.openLoopNext(now)
 }
 
-// Run executes the configured warmup + measurement and returns results.
-func (s *Sim) Run() Result {
-	s.gen.Start(s)
-	s.startBackground()
-	// Warmup.
-	s.eng.RunUntil(s.cfg.Warmup)
-	s.eng.AdvanceTo(s.cfg.Warmup)
-	s.col.begin(s)
-	end := s.cfg.Warmup + s.cfg.Duration
-	s.eng.RunUntil(end)
-	return s.col.collect(s, end)
-}
-
-// RunConfig is the package-level convenience: construct and run.
+// RunConfig runs the configured warmup and measured Duration at
+// RatePerSec (or along Schedule) and returns the measurement: the first
+// interval of an instance that keeps Config.Schedule, so a scheduled run
+// looks its rate up arrival by arrival.
 func RunConfig(cfg Config) (Result, error) {
-	s, err := New(cfg)
+	ins, err := newInstance(cfg, false)
 	if err != nil {
 		return Result{}, err
 	}
-	return s.Run(), nil
+	s := ins.s
+	if s.cfg.LoadGen == LoadBursty && cfg.RatePerSec <= 0 && cfg.Schedule == nil {
+		return Result{}, fmt.Errorf("server: bursty load needs RatePerSec > 0")
+	}
+	r, err := ins.RunInterval(s.cfg.Duration, cfg.RatePerSec)
+	return r.Result, err
 }

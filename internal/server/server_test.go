@@ -2,6 +2,7 @@ package server
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/cstate"
@@ -237,17 +238,22 @@ func TestFixedFreqSlowsService(t *testing.T) {
 }
 
 func TestValidateRejectsBadConfigs(t *testing.T) {
-	_, err := New(Config{Cores: -1, Platform: governor.Baseline, Profile: workload.Memcached()})
+	_, err := RunConfig(Config{Cores: -1, Platform: governor.Baseline, Profile: workload.Memcached()})
 	if err == nil {
 		t.Fatal("negative cores accepted")
 	}
 	bad := quickCfg(governor.Config{Name: "bad", Menu: []cstate.ID{cstate.C1, cstate.C6A}}, 1000)
-	if _, err := New(bad); err == nil {
+	if _, err := RunConfig(bad); err == nil {
 		t.Fatal("invalid platform accepted")
 	}
 	cfg := quickCfg(governor.Baseline, -5)
-	if _, err := New(cfg); err == nil {
+	if _, err := RunConfig(cfg); err == nil {
 		t.Fatal("negative rate accepted")
+	}
+	bursty := quickCfg(governor.Baseline, 0)
+	bursty.LoadGen = LoadBursty
+	if _, err := RunConfig(bursty); err == nil || !strings.Contains(err.Error(), "bursty load needs RatePerSec > 0") {
+		t.Fatalf("bursty load at zero rate: err = %v", err)
 	}
 }
 

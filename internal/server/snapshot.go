@@ -42,8 +42,9 @@ import (
 // bytes outright. There is no cross-version migration — a snapshot is a
 // checkpoint of one simulator build, not an archival format — and the
 // pinned-bytes tests fail on any change that would need one. Version 2
-// replaced version 1's replayed interval history with the warm state.
-const snapshotVersion = 2
+// replaced version 1's replayed interval history with the warm state;
+// version 3 dropped the per-event priority word from the engine state.
+const snapshotVersion = 3
 
 // minCoreStateBytes bounds a core's encoded state from below (machine,
 // meter, request counters and flags), so a config block naming more

@@ -162,12 +162,12 @@ func TestSnapshotIsStable(t *testing.T) {
 // build restores only while the config block and the warm state encode
 // identically, and a simulator change that moves the state a run
 // reaches moves these bytes too. The digests were recorded from the
-// build that introduced snapshotVersion 2; any intended format or
+// build that introduced snapshotVersion 3; any intended format or
 // simulator change must bump the version and re-record them.
 func TestSnapshotBytesPinned(t *testing.T) {
 	want := map[string]string{
-		"memcached": "a5f71b16a3a70877d436c8f28ca6c34a378dc1acf3aca4902d36ece3dc68fffb",
-		"kafka":     "25ed1fb0e0e618fb9baabe09699f0cbd6d8e97a40611f8217cb12768fd1fffa9",
+		"memcached": "a57f0d9a50c654db0d9f81ae811b1d253fc70d74e5e6217a02095c61e843dec8",
+		"kafka":     "662baf8936061d3438d26b111b54f81c171c6687b13cdedda8e420d4a212abe4",
 	}
 	for prof, digest := range want {
 		cfg := snapCfg()
@@ -275,7 +275,7 @@ func TestRestoreRejectsUnrunnableState(t *testing.T) {
 	}
 
 	// The engine's state opens the instance state: clock, sequence
-	// counter, fired count, event count, then 48-byte event records.
+	// counter, fired count, event count, then 40-byte event records.
 	fp, err := snapshottable(&ins.orig)
 	if err != nil {
 		t.Fatal(err)
@@ -296,13 +296,12 @@ func TestRestoreRejectsUnrunnableState(t *testing.T) {
 	// time keeps the canonical order, and the held positions still
 	// point where they did) and reseals the document.
 	withEvent := func(k sim.Kind, core uint64) []byte {
-		end := countOff + 8 + pending*48
+		end := countOff + 8 + pending*40
 		var e snapbuf.Encoder
 		e.Buf = append(e.Buf, blob[:countOff]...)
 		e.I64(int64(pending + 1))
 		e.Buf = append(e.Buf, blob[countOff+8:end]...)
 		e.I64(int64(sim.MaxTime - 1))
-		e.I64(0)
 		e.U64(1)
 		e.U64(uint64(k))
 		e.U64(core)

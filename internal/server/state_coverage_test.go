@@ -18,7 +18,6 @@ var rebuiltFields = map[string]string{
 	"server.Instance.orig":              "the config block; TestConfigEncodingCoversEveryField covers it",
 	"server.Sim.profArrivals":           "the construction config's arrival process, never stepped",
 	"server.Sim.cpower":                 "construction input",
-	"server.Sim.instMode":               "construction input",
 	"server.Sim.deepest":                "derived from the menu at construction",
 	"server.Sim.kEntryDone":             "event kind newKinds registers",
 	"server.Sim.kExitDone":              "event kind newKinds registers",
@@ -50,7 +49,6 @@ var rebuiltFields = map[string]string{
 	"server.reqRing.buf":                "ring slots: the live requests are encoded in FIFO order, each field as for coreRuntime.cur",
 	"server.reqRing.head":               "ring position: only the live count and order are state",
 	"server.reqRing.tail":               "ring position: only the live count and order are state",
-	"server.burstyGen.onRate":           "construction input",
 	"server.burstyGen.onMean":           "construction input",
 	"server.burstyGen.offMean":          "construction input",
 	"server.roundRobinDispatch._":       "cache-line padding",
@@ -58,7 +56,6 @@ var rebuiltFields = map[string]string{
 	"sim.Engine.table":                  "handlers newKinds registers",
 	"sim.Engine.free":                   "recycled event structs",
 	"sim.Engine.batch":                  "same-instant drain scratch",
-	"sim.Engine.stopped":                "RunUntil clears it before running",
 	"sim.Event.fn":                      "closure events are refused at capture",
 	"sim.Event.index":                   "heap position; events are encoded in pop order",
 	"sim.Event.canceled":                "a canceled event leaves the queue",

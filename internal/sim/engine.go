@@ -1,10 +1,9 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
 // Time is modeled as int64 nanoseconds from simulation start. Events are
-// ordered by (time, priority, insertion sequence), which makes runs fully
+// ordered by (time, insertion sequence), which makes runs fully
 // deterministic for a given schedule: two events at the same instant fire
-// in the order they were scheduled unless an explicit priority says
-// otherwise.
+// in the order they were scheduled.
 //
 // The engine is the substrate for every experiment in this repository:
 // request arrivals, service completions, C-state transitions, snoop
@@ -19,7 +18,7 @@
 // set of typed handlers once (RegisterKind) and schedule events as a
 // (kind, payload) pair (ScheduleKind). Dispatch is then one index into
 // the registration-order jump table — no per-event closure allocation
-// and nothing for the garbage collector to trace per event. RunUntil
+// and nothing for the garbage collector to trace per event. RunTo
 // additionally drains same-timestamp events as a batch, paying the clock
 // bookkeeping once per instant instead of once per event.
 package sim
@@ -87,7 +86,6 @@ type Event struct {
 	seq      uint64
 	a0, a1   uint64 // typed-event payload words
 	fn       Handler
-	priority int32
 	kind     Kind  // 0 = closure event dispatched through fn
 	index    int32 // heap index; -1 when not queued
 	canceled bool
@@ -102,13 +100,10 @@ func (e *Event) Canceled() bool { return e.canceled }
 // Kind reports the event's typed kind (0 for a closure event).
 func (e *Event) Kind() Kind { return e.kind }
 
-// before is the strict ordering used by the heap: (when, priority, seq).
+// before is the strict ordering used by the heap: (when, seq).
 func (a *Event) before(b *Event) bool {
 	if a.when != b.when {
 		return a.when < b.when
-	}
-	if a.priority != b.priority {
-		return a.priority < b.priority
 	}
 	return a.seq < b.seq
 }
@@ -248,18 +243,17 @@ func (q eventQueue) down(i int) {
 
 // Engine is a single-threaded discrete-event simulator.
 type Engine struct {
-	now     Time
-	queue   eventQueue
-	seq     uint64
-	stopped bool
-	fired   uint64
+	now   Time
+	queue eventQueue
+	seq   uint64
+	fired uint64
 	// free recycles fired/canceled events so steady-state scheduling does
 	// not allocate.
 	free []*Event
 	// table is the typed-event jump table; index 0 is reserved so a zero
 	// kind always means "closure event".
 	table []KindHandler
-	// batch is the reusable same-timestamp drain buffer (see RunUntil).
+	// batch is the reusable same-timestamp drain buffer (see drainBatch).
 	batch []*Event
 }
 
@@ -294,12 +288,6 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // past panics: it always indicates a model bug, and silently clamping
 // would corrupt residency accounting.
 func (e *Engine) ScheduleAt(when Time, fn Handler) *Event {
-	return e.ScheduleAtPriority(when, 0, fn)
-}
-
-// ScheduleAtPriority queues fn at an absolute time with an explicit
-// priority. Lower priorities fire first among events at the same instant.
-func (e *Engine) ScheduleAtPriority(when Time, priority int, fn Handler) *Event {
 	if when < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", when, e.now))
 	}
@@ -308,7 +296,6 @@ func (e *Engine) ScheduleAtPriority(when Time, priority int, fn Handler) *Event 
 	}
 	ev := e.alloc()
 	ev.when = when
-	ev.priority = int32(priority)
 	ev.fn = fn
 	e.queue.push(ev)
 	return ev
@@ -420,17 +407,17 @@ func (e *Engine) CloneInto(dst *Engine, held ...**Event) error {
 		}
 		*h = q[i]
 	}
-	dst.now, dst.seq, dst.fired, dst.stopped = e.now, e.seq, e.fired, e.stopped
+	dst.now, dst.seq, dst.fired = e.now, e.seq, e.fired
 	dst.queue = q
 	return nil
 }
 
 // eventBytes is the encoded size of one pending event (see AppendState).
-const eventBytes = 6 * 8
+const eventBytes = 5 * 8
 
 // AppendState appends the engine's clock, sequence counter, fired count
-// and pending typed events in canonical (when, priority, seq) order,
-// then, for each held handle, its position in that order (-1 for nil).
+// and pending typed events in canonical (when, seq) order, then, for
+// each held handle, its position in that order (-1 for nil).
 // The pending order, not the heap layout, fixes the future: the heap
 // pops events in that order whatever its array looks like, so two
 // engines that will fire the same events encode to the same bytes.
@@ -448,7 +435,6 @@ func (e *Engine) AppendState(enc *snapbuf.Encoder, held ...*Event) error {
 			return fmt.Errorf("sim: cannot encode a closure event (at %v)", ev.when)
 		}
 		enc.I64(int64(ev.when))
-		enc.I64(int64(ev.priority))
 		enc.U64(ev.seq)
 		enc.U64(uint64(ev.kind))
 		enc.U64(ev.a0)
@@ -476,10 +462,10 @@ func (e *Engine) AppendState(enc *snapbuf.Encoder, held ...*Event) error {
 // model registered the same typed handlers in the same order, and
 // points each *held at the decoded event recorded in its position (nil
 // for -1). It checks what the engine itself can: a clock that is not
-// negative, registered kinds, priorities that fit, strictly canonical
-// order, no event before the clock or with a sequence number the
-// counter has not issued. Payload words belong to the model, which
-// checks them with CheckPending. Errors go to d.
+// negative, registered kinds, strictly canonical order, no event before
+// the clock or with a sequence number the counter has not issued.
+// Payload words belong to the model, which checks them with
+// CheckPending. Errors go to d.
 func (e *Engine) DecodeState(d *snapbuf.Decoder, held ...**Event) {
 	if len(e.queue) != 0 || e.seq != 0 {
 		d.Fail(errors.New("sim: decode target is not a fresh engine"))
@@ -490,7 +476,6 @@ func (e *Engine) DecodeState(d *snapbuf.Decoder, held ...**Event) {
 	for i := range evs {
 		ev := &evs[i]
 		ev.when = Time(d.I64())
-		prio := d.I64()
 		ev.seq = d.U64()
 		kind := d.U64()
 		ev.a0, ev.a1 = d.U64(), d.U64()
@@ -499,14 +484,12 @@ func (e *Engine) DecodeState(d *snapbuf.Decoder, held ...**Event) {
 			return
 		}
 		switch {
-		case prio < math.MinInt32 || prio > math.MaxInt32:
-			d.Fail(fmt.Errorf("sim: corrupt event priority %d", prio))
 		case kind == 0 || kind >= uint64(len(e.table)):
 			d.Fail(fmt.Errorf("sim: corrupt event kind %d (%d registered)", kind, len(e.table)-1))
 		case ev.when < now || ev.seq > seq:
 			d.Fail(fmt.Errorf("sim: corrupt event at %v (clock %v, seq %d of %d)", ev.when, now, ev.seq, seq))
 		}
-		ev.priority, ev.kind = int32(prio), Kind(kind)
+		ev.kind = Kind(kind)
 		if i > 0 && !evs[i-1].before(ev) {
 			d.Fail(errors.New("sim: pending events out of order"))
 		}
@@ -552,9 +535,6 @@ func (e *Engine) CheckPending(valid func(k Kind, a0, a1 uint64) bool) error {
 	return nil
 }
 
-// Stop makes the current Run return after the in-flight handler finishes.
-func (e *Engine) Stop() { e.stopped = true }
-
 // fire dispatches one dequeued event: typed events jump through the
 // table, closure events call fn. The Event is recycled before the
 // handler runs, exactly as the pre-jump-table engine did.
@@ -589,9 +569,10 @@ func (e *Engine) Step() bool {
 // — takes a short path; otherwise the same-timestamp run is popped into
 // a reusable buffer up front: one clock update and one backwards-check
 // cover the whole run, and the heap repairs happen before handlers push
-// replacement events on top. Events the run's own handlers schedule for
-// the same instant are merged back in priority/sequence order, so the
-// firing order is identical to popping one event at a time.
+// replacement events on top. An event the run's own handlers schedule
+// for the same instant has a later sequence number than every batched
+// event, so it fires after them, in a later drain, exactly as popping
+// one event at a time would order it.
 func (e *Engine) drainBatch() {
 	q := &e.queue
 	ev := q.popMin()
@@ -608,65 +589,16 @@ func (e *Engine) drainBatch() {
 	for len(*q) > 0 && (*q)[0].when == t {
 		batch = append(batch, q.popMin())
 	}
-	for i := 0; i < len(batch); i++ {
-		ev := batch[i]
+	for _, ev := range batch {
 		if ev.canceled {
 			// Canceled while waiting in the batch (index -1, so Cancel
 			// could not remove it from the queue itself).
 			e.recycle(ev)
 			continue
 		}
-		// A handler fired earlier in this batch may have scheduled a
-		// new event at this instant that orders before ev.
-		for len(*q) > 0 && (*q)[0].when == t && (*q)[0].before(ev) {
-			e.fire(q.popMin())
-			if e.stopped {
-				break
-			}
-		}
-		if e.stopped {
-			e.requeue(batch[i:])
-			break
-		}
-		if ev.canceled {
-			// A merged event fired just above may have canceled ev.
-			e.recycle(ev)
-			continue
-		}
 		e.fire(ev)
-		if e.stopped {
-			e.requeue(batch[i+1:])
-			break
-		}
 	}
 	e.batch = batch[:0]
-}
-
-// requeue restores unfired batch events to the queue (after Stop). Their
-// original sequence numbers put them back in exactly the order they
-// would have fired.
-func (e *Engine) requeue(rest []*Event) {
-	for _, ev := range rest {
-		if ev.canceled {
-			e.recycle(ev)
-			continue
-		}
-		e.queue.push(ev)
-	}
-}
-
-// RunUntil executes events until the queue is exhausted, Stop is called,
-// or the next event lies strictly beyond the horizon. The clock is left at
-// min(horizon, time of last executed event); callers that want the clock
-// parked exactly at the horizon should call AdvanceTo afterwards.
-func (e *Engine) RunUntil(horizon Time) {
-	e.stopped = false
-	for !e.stopped {
-		if len(e.queue) == 0 || e.queue[0].when > horizon {
-			return
-		}
-		e.drainBatch()
-	}
 }
 
 // RunTo executes every event scheduled at or before when, then parks the
@@ -675,29 +607,20 @@ func (e *Engine) RunUntil(horizon Time) {
 // events (arrival chains, background timers, in-flight completions)
 // survive in the queue, and a later RunTo continues event-for-event as
 // if the run had never paused. Calling RunTo with when in the past
-// panics (via AdvanceTo).
+// panics.
 func (e *Engine) RunTo(when Time) {
-	e.RunUntil(when)
-	e.AdvanceTo(when)
-}
-
-// Run executes events until the queue is empty or Stop is called.
-func (e *Engine) Run() {
-	e.stopped = false
-	for !e.stopped && len(e.queue) > 0 {
+	if when < e.now {
+		panic(fmt.Sprintf("sim: run to %v before now %v", when, e.now))
+	}
+	for len(e.queue) > 0 && e.queue[0].when <= when {
 		e.drainBatch()
 	}
+	e.now = when
 }
 
-// AdvanceTo moves the clock forward to when without executing events.
-// It panics if a pending event is scheduled before when, or when is in
-// the past.
-func (e *Engine) AdvanceTo(when Time) {
-	if when < e.now {
-		panic(fmt.Sprintf("sim: advance to %v before now %v", when, e.now))
+// Run executes events until the queue is empty.
+func (e *Engine) Run() {
+	for len(e.queue) > 0 {
+		e.drainBatch()
 	}
-	if len(e.queue) > 0 && e.queue[0].when < when {
-		panic("sim: AdvanceTo would skip a pending event")
-	}
-	e.now = when
 }

@@ -36,17 +36,6 @@ func TestSameInstantFIFO(t *testing.T) {
 	}
 }
 
-func TestPriorityBreaksTies(t *testing.T) {
-	e := NewEngine()
-	var order []string
-	e.ScheduleAtPriority(5, 1, func(Time) { order = append(order, "low") })
-	e.ScheduleAtPriority(5, 0, func(Time) { order = append(order, "high") })
-	e.Run()
-	if order[0] != "high" || order[1] != "low" {
-		t.Fatalf("priority not honored: %v", order)
-	}
-}
-
 func TestCancel(t *testing.T) {
 	e := NewEngine()
 	fired := false
@@ -75,6 +64,8 @@ func TestCancelFromHandler(t *testing.T) {
 	}
 }
 
+// TestRunUntilHorizon pins that RunTo fires exactly the events at or
+// before its bound and leaves the rest queued for a later call.
 func TestRunUntilHorizon(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
@@ -82,14 +73,14 @@ func TestRunUntilHorizon(t *testing.T) {
 		d := d
 		e.Schedule(d, func(now Time) { fired = append(fired, now) })
 	}
-	e.RunUntil(25)
+	e.RunTo(25)
 	if len(fired) != 2 {
 		t.Fatalf("fired %d events, want 2", len(fired))
 	}
 	if e.Pending() != 2 {
 		t.Fatalf("pending = %d, want 2", e.Pending())
 	}
-	e.RunUntil(MaxTime)
+	e.RunTo(MaxTime)
 	if len(fired) != 4 {
 		t.Fatalf("fired %d events after full run, want 4", len(fired))
 	}
@@ -112,23 +103,6 @@ func TestScheduleFromHandler(t *testing.T) {
 	}
 	if e.Now() != 40 {
 		t.Fatalf("clock = %v, want 40", e.Now())
-	}
-}
-
-func TestStop(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 0; i < 10; i++ {
-		e.Schedule(Time(i), func(Time) {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if count != 3 {
-		t.Fatalf("ran %d events after Stop, want 3", count)
 	}
 }
 
@@ -164,19 +138,20 @@ func TestNilHandlerPanics(t *testing.T) {
 	e.Schedule(1, nil)
 }
 
+// TestAdvanceTo pins that RunTo moves the clock over an empty stretch
+// and, with an event inside the stretch, fires it on the way.
 func TestAdvanceTo(t *testing.T) {
 	e := NewEngine()
-	e.AdvanceTo(100)
+	e.RunTo(100)
 	if e.Now() != 100 {
 		t.Fatalf("clock = %v, want 100", e.Now())
 	}
-	e.Schedule(10, func(Time) {})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AdvanceTo past a pending event did not panic")
-		}
-	}()
-	e.AdvanceTo(200)
+	var fired Time
+	e.Schedule(10, func(now Time) { fired = now })
+	e.RunTo(200)
+	if fired != 110 || e.Now() != 200 {
+		t.Fatalf("fired at %v, clock %v; want 110, 200", fired, e.Now())
+	}
 }
 
 func TestDurationConversion(t *testing.T) {

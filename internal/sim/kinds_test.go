@@ -62,20 +62,18 @@ func TestCancelKindEvent(t *testing.T) {
 // --- Same-timestamp batch drain ---------------------------------------------
 
 // A handler that schedules another event at the same instant must see it
-// fire after the already queued same-instant events (sequence order), and
-// a lower-priority event scheduled mid-batch must jump ahead.
+// fire after the already queued same-instant events (sequence order).
 func TestBatchMergePreservesTotalOrder(t *testing.T) {
 	e := NewEngine()
 	var order []string
 	e.Schedule(10, func(now Time) {
 		order = append(order, "a")
 		e.ScheduleAt(10, func(Time) { order = append(order, "late") })
-		e.ScheduleAtPriority(10, -1, func(Time) { order = append(order, "urgent") })
 	})
 	e.Schedule(10, func(Time) { order = append(order, "b") })
 	e.Schedule(10, func(Time) { order = append(order, "c") })
 	e.Run()
-	want := []string{"a", "urgent", "b", "c", "late"}
+	want := []string{"a", "b", "c", "late"}
 	if len(order) != len(want) {
 		t.Fatalf("order = %v, want %v", order, want)
 	}
@@ -100,59 +98,6 @@ func TestCancelWithinBatch(t *testing.T) {
 	}
 	if e.Fired() != 1 {
 		t.Fatalf("fired = %d, want 1", e.Fired())
-	}
-}
-
-// An event canceled by a MERGED same-instant event (scheduled mid-batch
-// with a priority that jumps ahead of the victim) must not fire either:
-// the cancel flag has to be re-checked after the merge loop runs.
-func TestCancelFromMergedEvent(t *testing.T) {
-	e := NewEngine()
-	var victim *Event
-	fired := false
-	e.Schedule(10, func(Time) {
-		// Urgent same-instant event that fires before the victim and
-		// cancels it.
-		e.ScheduleAtPriority(10, -1, func(Time) { e.Cancel(victim) })
-	})
-	victim = e.Schedule(10, func(Time) { fired = true })
-	e.Run()
-	if fired {
-		t.Fatal("event canceled by a merged same-instant event still fired")
-	}
-	if e.Fired() != 2 {
-		t.Fatalf("fired = %d, want 2", e.Fired())
-	}
-}
-
-// Stop mid-batch must leave the unfired remainder queued, in order.
-func TestStopWithinBatch(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	for i := 0; i < 5; i++ {
-		i := i
-		e.Schedule(10, func(Time) {
-			order = append(order, i)
-			if i == 1 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if len(order) != 2 {
-		t.Fatalf("fired %v before stop, want [0 1]", order)
-	}
-	if e.Pending() != 3 {
-		t.Fatalf("pending = %d, want 3", e.Pending())
-	}
-	e.Run()
-	if len(order) != 5 {
-		t.Fatalf("resume fired %v", order)
-	}
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("resumed order = %v", order)
-		}
 	}
 }
 

@@ -6,6 +6,9 @@ GO ?= go
 PROF_DIR := .prof
 BENCH ?= BenchmarkRunService
 PKG ?= ./internal/server
+# The packages whose microbenchmarks CI gates.
+GATED_PKGS := ./internal/sim ./internal/stats ./internal/server ./internal/cluster \
+	./internal/runner ./internal/scenariofile
 
 .PHONY: all build test race bench bench-micro profile profile-mem bench-json clean-prof loc
 
@@ -27,9 +30,7 @@ bench:
 # The CI-gated microbenchmarks, with stable sampling, then the whole
 # quick evaluation (one pass per sample).
 bench-micro:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime 0.3s -count 6 \
-		./internal/sim ./internal/stats ./internal/server ./internal/cluster ./internal/runner \
-		./internal/scenariofile
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime 0.3s -count 6 $(GATED_PKGS)
 	$(GO) test -run '^$$' -bench '^BenchmarkQuickEvaluation$$' -benchmem -benchtime 1x -count 6 .
 
 # CPU-profile one benchmark (default BenchmarkRunService) and open the
@@ -52,9 +53,8 @@ profile-mem:
 # Record the perf trajectory: run the gated microbenchmarks and emit a
 # dated BENCH_<date>.json snapshot (the same artifact CI uploads).
 bench-json:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime 0.3s -count 6 \
-		./internal/sim ./internal/stats ./internal/server ./internal/cluster ./internal/runner \
-		./internal/scenariofile | tee $(PROF_DIR)/bench-micro.txt
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime 0.3s -count 6 $(GATED_PKGS) \
+		| tee $(PROF_DIR)/bench-micro.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkQuickEvaluation$$' -benchmem -benchtime 1x -count 6 . \
 		| tee -a $(PROF_DIR)/bench-micro.txt
 	$(GO) run ./cmd/benchgate -new $(PROF_DIR)/bench-micro.txt \

@@ -17,25 +17,26 @@ import (
 // changed how an unforced epoch after a forced one replayed its
 // admission. Version 4 stores the fleet's state instead of a history to
 // replay, and ends in a CRC-32C. Version 5 carries instance state
-// without the engine's per-event priority word.
-const liveSnapshotVersion = 5
+// without the engine's per-event priority word. Version 6 drops what
+// the rest of the document already holds: the class intervals and
+// current rate and fault, the cursor position and the telemetry fields
+// that copy the epoch's window.
+const liveSnapshotVersion = 6
 
 // Byte sizes the decoder checks counts against before it allocates:
 // the smallest encoding of one epoch record (decision, window, account
-// and fleet telemetry without per-node samples), node sample, class,
-// interval and interval result.
+// and fleet telemetry without per-node samples), node sample, class
+// (representative and one member, down) and interval result.
 const (
-	epochBytes    = 8 + 1 + 3*8 + 1 + 2*8 + telemetryBytes
-	nodeTelBytes  = 6*8 + 2
-	classBytes    = 8 + 8 + 8 + faultBytes + 8 + 1 + 8
-	intervalBytes = 8 + 8 + faultBytes
-	resultBytes   = 1 + 3
-	faultBytes    = 1 + 8 + 1 + 8
+	epochBytes   = 8 + 1 + 3*8 + 1 + 2*8 + telemetryBytes
+	nodeTelBytes = 6*8 + 2
+	classBytes   = 3 * 8
+	resultBytes  = 1 + 3
 )
 
-// telemetryBytes is the encoded size of a FleetTelemetry without
-// per-node samples.
-const telemetryBytes = 16*8 + 2
+// telemetryBytes is the encoded size of the FleetTelemetry fields
+// windowTelemetry does not derive, without per-node samples.
+const telemetryBytes = 9*8 + 1
 
 // Snapshot checkpoints the fleet's state. The document holds:
 //
@@ -44,14 +45,17 @@ const telemetryBytes = 16*8 + 2
 //   - per completed epoch, the decision (target, forced), the realized
 //     window with its overload account, and the fleet telemetry;
 //   - the admission backlog;
-//   - each class in its current order: representative, members,
-//     routed rate and fault, per completed epoch its realized interval
-//     and measurement, and its cursor with the warm instance state
+//   - each class in its current order: representative, members, per
+//     completed epoch its measurement, and the warm instance state
 //     (none while down).
 //
-// A CRC-32C trailer closes it. Interval results leave out their
-// Config, which RestoreLive rebuilds from the node config, and the
-// controller is not encoded: it is rebuilt from the telemetry.
+// A CRC-32C trailer closes it. Nothing is written twice: the
+// telemetry leaves out what the window record holds, a class's
+// timeline is the windows, its measured rates and the plan's faults,
+// and its cursor's position follows from its measurements. Interval
+// results leave out their Config, which RestoreLive rebuilds from the
+// node config, and the controller is not encoded: it is rebuilt from
+// the telemetry.
 //
 // The per-epoch records only ever grow, so their encodings are kept
 // between checkpoints (encodedHistory) and each checkpoint encodes just
@@ -75,8 +79,6 @@ func (l *Live) Snapshot() ([]byte, error) {
 		for _, m := range cl.members {
 			e.I64(int64(m))
 		}
-		e.F64(cl.rate)
-		appendFault(&e, cl.fault)
 		e.Buf = append(e.Buf, cl.hist.extend(len(cl.results), cl.appendEpoch)...)
 		if err := cl.ins.AppendState(&e); err != nil {
 			return nil, fmt.Errorf("cluster: snapshot: node %d: %w", cl.rep, err)
@@ -120,13 +122,8 @@ func (l *Live) appendEpoch(e *snapbuf.Encoder, i int) {
 	appendTelemetry(e, &l.tels[i])
 }
 
-// appendEpoch appends the class's realized interval and measurement of
-// epoch i.
+// appendEpoch appends the class's measurement of epoch i.
 func (cl *liveClass) appendEpoch(e *snapbuf.Encoder, i int) {
-	iv := &cl.intervals[i]
-	e.I64(int64(iv.Window))
-	e.F64(iv.Rate)
-	appendFault(e, iv.Fault)
 	server.AppendIntervalResult(e, &cl.results[i])
 }
 
@@ -182,24 +179,10 @@ func decodeIdentity(d *snapbuf.Decoder) identity {
 	}
 }
 
-func appendFault(e *snapbuf.Encoder, f runner.Fault) {
-	e.Bool(f.Down)
-	e.F64(f.Inflate)
-	e.Bool(f.Throttle)
-	e.F64(f.TurboCap)
-}
-
-func decodeFault(d *snapbuf.Decoder) runner.Fault {
-	return runner.Fault{Down: d.Bool(), Inflate: d.F64(), Throttle: d.Bool(), TurboCap: d.F64()}
-}
-
+// appendTelemetry appends the fields of t that windowTelemetry does
+// not derive.
 func appendTelemetry(e *snapbuf.Encoder, t *FleetTelemetry) {
-	e.I64(int64(t.Epoch))
-	e.I64(int64(t.Start))
-	e.I64(int64(t.End))
-	e.F64(t.OfferedQPS)
 	e.F64(t.CompletedQPS)
-	e.I64(int64(t.TotalNodes))
 	e.I64(int64(t.ActiveNodes))
 	e.I64(int64(t.ParkedNodes))
 	e.I64(int64(t.DownNodes))
@@ -208,9 +191,6 @@ func appendTelemetry(e *snapbuf.Encoder, t *FleetTelemetry) {
 	e.I64(int64(t.LiveQueue))
 	e.F64(t.WorstP99US)
 	e.F64(t.FleetPowerW)
-	e.Bool(t.Saturated)
-	e.F64(t.SheddedRequests)
-	e.F64(t.BacklogRate)
 	e.Bool(t.Nodes != nil)
 	if t.Nodes == nil {
 		return
@@ -229,28 +209,20 @@ func appendTelemetry(e *snapbuf.Encoder, t *FleetTelemetry) {
 	}
 }
 
-func decodeTelemetry(d *snapbuf.Decoder) FleetTelemetry {
-	t := FleetTelemetry{
-		Epoch:           int(d.I64()),
-		Start:           sim.Time(d.I64()),
-		End:             sim.Time(d.I64()),
-		OfferedQPS:      d.F64(),
-		CompletedQPS:    d.F64(),
-		TotalNodes:      int(d.I64()),
-		ActiveNodes:     int(d.I64()),
-		ParkedNodes:     int(d.I64()),
-		DownNodes:       int(d.I64()),
-		Utilization:     d.F64(),
-		QueueDepth:      d.F64(),
-		LiveQueue:       int(d.I64()),
-		WorstP99US:      d.F64(),
-		FleetPowerW:     d.F64(),
-		Saturated:       d.Bool(),
-		SheddedRequests: d.F64(),
-		BacklogRate:     d.F64(),
-	}
+// decodeTelemetry reads what appendTelemetry wrote into t, whose
+// window fields windowTelemetry has filled.
+func decodeTelemetry(d *snapbuf.Decoder, t *FleetTelemetry) {
+	t.CompletedQPS = d.F64()
+	t.ActiveNodes = int(d.I64())
+	t.ParkedNodes = int(d.I64())
+	t.DownNodes = int(d.I64())
+	t.Utilization = d.F64()
+	t.QueueDepth = d.F64()
+	t.LiveQueue = int(d.I64())
+	t.WorstP99US = d.F64()
+	t.FleetPowerW = d.F64()
 	if !d.Bool() {
-		return t
+		return
 	}
 	t.Nodes = make([]NodeTelemetry, d.Count(nodeTelBytes))
 	for i := range t.Nodes {
@@ -265,7 +237,6 @@ func decodeTelemetry(d *snapbuf.Decoder) FleetTelemetry {
 			Down:        d.Bool(),
 		}
 	}
-	return t
 }
 
 // RestoreLive rebuilds a fleet checkpoint taken by Live.Snapshot. The
@@ -326,7 +297,8 @@ func (l *Live) decodeEpochs(d *snapbuf.Decoder) error {
 		start, end, rate := sim.Time(d.I64()), sim.Time(d.I64()), d.F64()
 		w.saturated, w.shedded, w.backlogReq = d.Bool(), d.F64(), d.F64()
 		t := &l.tels[e]
-		*t = decodeTelemetry(d)
+		*t = windowTelemetry(e, *w, len(l.c.Nodes))
+		decodeTelemetry(d, t)
 		if d.Err() != nil {
 			break
 		}
@@ -389,17 +361,13 @@ func (l *Live) decodeClasses(d *snapbuf.Decoder) error {
 		}
 		covered += len(members)
 		cl := &liveClass{rep: int(rep), members: members, node: l.c.Nodes[root[rep]]}
-		cl.rate = d.F64()
-		cl.fault = decodeFault(d)
-		if d.Remaining() < l.epoch*(intervalBytes+resultBytes) {
+		if d.Remaining() < l.epoch*resultBytes {
 			return errors.New("truncated class timeline")
 		}
-		cl.intervals = make([]runner.Interval, l.epoch)
 		cl.results = make([]server.IntervalResult, l.epoch)
 		restarts := 0
 		resCfg := server.ResultConfig(cl.node)
 		for i := range cl.results {
-			cl.intervals[i] = runner.Interval{Window: sim.Time(d.I64()), Rate: d.F64(), Fault: decodeFault(d)}
 			r := &cl.results[i]
 			*r = server.DecodeIntervalResult(d, resCfg.Cores)
 			if r.Restarted {
@@ -409,11 +377,8 @@ func (l *Live) decodeClasses(d *snapbuf.Decoder) error {
 			server.SetResultConfig(r, &resCfg)
 		}
 		var err error
-		if cl.ins, err = runner.DecodeCursor(d, cl.node, l.c.ParkDrained); err != nil {
+		if cl.ins, err = runner.DecodeCursor(d, cl.node, l.c.ParkDrained, cl.results); err != nil {
 			return fmt.Errorf("class %d: %w", ci, err)
-		}
-		if cl.ins.Restarts() != restarts {
-			return fmt.Errorf("class %d: %d restarts recorded, %d in its results", ci, cl.ins.Restarts(), restarts)
 		}
 		l.classes[ci] = cl
 	}

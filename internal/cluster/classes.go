@@ -44,8 +44,6 @@ type timelineClass struct {
 	rep int
 	// members lists every member node index, in fleet order.
 	members []int
-	// spec is the representative's timeline.
-	spec runner.TimelineSpec
 	// results[r][e] is replica r's epoch-e measurement; replica 0 is the
 	// representative under its own natural seed.
 	results [][]server.IntervalResult
@@ -93,18 +91,23 @@ func groupByKey(n int, key func(buf []byte, i int) ([]byte, bool)) [][]int {
 	return groups
 }
 
-// runReplicas runs the k seeded replicas of every class:
-// replica rep of class ci re-runs the representative's realized spec
-// under seed xrand.ClassReplicaSeed(ci, rep), drawn from the plane
-// disjoint from all node seeds, through the memoized RunTimeline. A
-// replica can therefore never alias a real node's simulation in the
-// memo cache.
-func runReplicas(classes []timelineClass, k int, r *runner.Runner) error {
-	return r.Each(len(classes)*k, func(t int) error {
+// runReplicas runs the Replicas seeded replicas of every class, live
+// and classes in the same order: replica rep of class ci re-runs the
+// class's realized timeline (Live.timeline) under seed
+// xrand.ClassReplicaSeed(ci, rep), drawn from the plane disjoint from
+// all node seeds, through the memoized RunTimeline. A replica can
+// therefore never alias a real node's simulation in the memo cache.
+func (l *Live) runReplicas(live []*liveClass, classes []timelineClass) error {
+	k := l.c.Replicas
+	specs := make([]runner.TimelineSpec, len(live))
+	for ci, cl := range live {
+		specs[ci] = runner.TimelineSpec{Node: cl.node, Park: l.c.ParkDrained, Intervals: l.timeline(cl)}
+	}
+	return l.r.Each(len(classes)*k, func(t int) error {
 		ci, rep := t/k, t%k+1
-		spec := classes[ci].spec
+		spec := specs[ci]
 		spec.Node.Seed = xrand.ClassReplicaSeed(ci, rep)
-		res, err := r.RunTimeline(spec)
+		res, err := l.r.RunTimeline(spec)
 		if err != nil {
 			return fmt.Errorf("cluster: node %d realized timeline (class %d replica %d): %w",
 				classes[ci].rep, ci, rep, err)

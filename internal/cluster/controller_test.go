@@ -51,6 +51,7 @@ func TestOracleControllerMatchesOpenLoopBitForBit(t *testing.T) {
 	}
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
+			t.Parallel()
 			open := base
 			m.mut(&open)
 			controlled := open

@@ -31,17 +31,16 @@ type liveClass struct {
 	// the two shared every rate and fault until now, so their warm
 	// states are identical.
 	ins *runner.TimelineCursor
-	// intervals is the realized rate-and-fault timeline so far.
-	intervals []runner.Interval
-	// results[e] is epoch e's measurement.
+	// results[e] is epoch e's measurement. It carries the epoch's rate;
+	// the window and the fault are the fleet's (see Live.timeline).
 	results []server.IntervalResult
-	// rate is the current epoch's routed per-node rate.
-	rate float64
-	// fault is the current epoch's fault annotation.
+	// rate and fault are the current epoch's routed per-node rate and
+	// fault annotation, set by splitByRate before the epoch is stepped.
+	rate  float64
 	fault runner.Fault
-	// hist caches the checkpoint encoding of intervals and results (see
-	// Live.Snapshot). Only the class owning the history keeps it: a
-	// split-off copy or a fork starts empty and encodes its own.
+	// hist caches the checkpoint encoding of results (see Live.Snapshot).
+	// Only the class owning the history keeps it: a split-off copy or a
+	// fork starts empty and encodes its own.
 	hist encodedHistory
 }
 
@@ -86,11 +85,11 @@ type rateFault struct {
 // share this epoch's routed rate and fault annotation, setting each
 // class's rate and fault fields. A sub-class keeping the first member
 // inherits the parent's live cursor; the others take a clone of it plus
-// a copy of the realized prefix. Cloning is O(node state), and it runs
-// here, serially, before the epoch's parallel fan-out, so no clone can
-// race its parent's step. Member order and the first-member-owns-the-
-// state rule keep the final class partition identical to what full-
-// timeline classification of the realized rates and faults would
+// a copy of the measurements so far. Cloning is O(node state), and it
+// runs here, serially, before the epoch's parallel fan-out, so no clone
+// can race its parent's step. Member order and the first-member-owns-
+// the-state rule keep the final class partition identical to what
+// full-timeline classification of the realized rates and faults would
 // produce. faults is this epoch's per-node annotation row; nil means
 // healthy.
 func splitByRate(classes []*liveClass, rates []float64, faults []runner.Fault) []*liveClass {
@@ -140,12 +139,10 @@ func splitByRate(classes []*liveClass, rates []float64, faults []runner.Fault) [
 				// First bucket holds members[0]: it keeps the parent's live
 				// state and history in place.
 				sub.ins = cl.ins
-				sub.intervals = cl.intervals
 				sub.results = cl.results
 				sub.hist = cl.hist
 			} else {
 				sub.ins = cl.ins.Clone()
-				sub.intervals = append([]runner.Interval(nil), cl.intervals...)
 				sub.results = append([]server.IntervalResult(nil), cl.results...)
 			}
 			subs = append(subs, sub)
@@ -161,13 +158,11 @@ func splitByRate(classes []*liveClass, rates []float64, faults []runner.Fault) [
 func runEpoch(classes []*liveClass, window sim.Time, r *runner.Runner) error {
 	return r.Each(len(classes), func(ci int) error {
 		cl := classes[ci]
-		next := runner.Interval{Window: window, Rate: cl.rate, Fault: cl.fault}
-		iv, err := cl.ins.Step(next)
+		iv, err := cl.ins.Step(runner.Interval{Window: window, Rate: cl.rate, Fault: cl.fault})
 		if err != nil {
 			return fmt.Errorf("cluster: node %d epoch %d: %w", cl.rep, len(cl.results), err)
 		}
 		cl.results = append(cl.results, iv)
-		cl.intervals = append(cl.intervals, next)
 		return nil
 	})
 }

@@ -240,7 +240,6 @@ func (l *Live) Result() (ScenarioResult, error) {
 		tclasses[ci] = timelineClass{
 			rep:     cl.rep,
 			members: cl.members,
-			spec:    runner.TimelineSpec{Node: cl.node, Park: l.c.ParkDrained, Intervals: cl.intervals},
 			results: make([][]server.IntervalResult, l.c.Replicas+1),
 		}
 		tclasses[ci].results[0] = cl.results
@@ -248,7 +247,7 @@ func (l *Live) Result() (ScenarioResult, error) {
 	out.Classes = len(tclasses)
 	out.ReplicaRuns = len(tclasses) * l.c.Replicas
 	if l.c.Replicas > 0 {
-		if err := runReplicas(tclasses, l.c.Replicas, l.r); err != nil {
+		if err := l.runReplicas(classes, tclasses); err != nil {
 			return ScenarioResult{}, err
 		}
 	}
@@ -269,9 +268,24 @@ func (l *Live) Result() (ScenarioResult, error) {
 	return out, nil
 }
 
+// timeline returns the class's realized timeline: each completed
+// epoch's window from the realized plan, its rate from the class's
+// measurement and its fault from the plan's fault row.
+func (l *Live) timeline(cl *liveClass) []runner.Interval {
+	ivs := make([]runner.Interval, l.epoch)
+	for e := range ivs {
+		w := &l.realized[e]
+		ivs[e] = runner.Interval{Window: w.end - w.start, Rate: cl.results[e].RateQPS}
+		if l.faults != nil && l.faults[e] != nil {
+			ivs[e].Fault = l.faults[e][cl.rep]
+		}
+	}
+	return ivs
+}
+
 // Fork returns an independent copy of the fleet at the current epoch
 // boundary. The copy shares nothing mutable with the parent: class
-// timelines are copied, every class's warm cursor is cloned in
+// measurements are copied, every class's warm cursor is cloned in
 // O(node state) whatever the history length (the mechanism a class
 // split uses too), and the controller is rebuilt by replaying its
 // observation history. Stepping the fork and the parent through
@@ -293,14 +307,11 @@ func (l *Live) Fork() *Live {
 	n.classes = make([]*liveClass, len(l.classes))
 	for ci, cl := range l.classes {
 		n.classes[ci] = &liveClass{
-			rep:       cl.rep,
-			members:   append([]int(nil), cl.members...),
-			node:      cl.node,
-			ins:       cl.ins.Clone(),
-			intervals: append([]runner.Interval(nil), cl.intervals...),
-			results:   append([]server.IntervalResult(nil), cl.results...),
-			rate:      cl.rate,
-			fault:     cl.fault,
+			rep:     cl.rep,
+			members: append([]int(nil), cl.members...),
+			node:    cl.node,
+			ins:     cl.ins.Clone(),
+			results: append([]server.IntervalResult(nil), cl.results...),
 		}
 	}
 	n.ctrl = n.rebuildController()

@@ -348,7 +348,7 @@ func TestLiveSnapshotRestore(t *testing.T) {
 }
 
 // TestLiveSnapshotBytesPinned pins a fleet checkpoint byte for byte,
-// recorded from the build that introduced liveSnapshotVersion 5:
+// recorded from the build that introduced liveSnapshotVersion 6:
 // checkpoints carry no migration, so one written earlier restores only
 // while the fleet and per-instance encodings stay identical. A
 // restore no longer re-simulates, so this digest is what catches a
@@ -365,7 +365,7 @@ func TestLiveSnapshotBytesPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "abeb7b078c0a5890d8fe286b29215a22027a4ad87d4b6ed46b3cc05aa757c496"
+	const want = "2ee32752fbfa42dfa02576e5131fad09207c10712c884d1d05ffa9e3fd067b0c"
 	if got := fmt.Sprintf("%x", sha256.Sum256(blob)); got != want {
 		t.Errorf("fleet snapshot sha256 = %s, want %s", got, want)
 	}

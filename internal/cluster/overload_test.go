@@ -267,6 +267,7 @@ func TestControllerSaturationStability(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
 			cfg := overloadScenario(mustSchedule(scenario.Constant("slam", 25e6, 160*sim.Millisecond)), 8)
 			cfg.Controller = ControllerSpec{Name: tc.ctrl}
 			cfg.Overload.Policy = tc.policy
@@ -319,6 +320,7 @@ func TestControllerSaturationStability(t *testing.T) {
 func TestLiveOverloadMatchesRunScenario(t *testing.T) {
 	for _, policy := range OverloadPolicies() {
 		t.Run(policy, func(t *testing.T) {
+			t.Parallel()
 			cfg := overloadScenario(mustSchedule(scenario.Constant("slam", 20e6, 160*sim.Millisecond)), 8)
 			cfg.Overload.Policy = policy
 			cfg.Controller = ControllerSpec{Name: ControllerReactive}
@@ -340,9 +342,8 @@ func TestLiveOverloadMatchesRunScenario(t *testing.T) {
 
 // TestLiveOverloadSnapshotRestore checkpoints a queue-policy fleet mid-
 // backlog and proves the restored fleet finishes bit-identically: the
-// backlog is not serialized — it is rebuilt by the deterministic
-// re-step — so this is the pin that the admission state participates in
-// the replay contract.
+// checkpoint carries the backlog and each epoch's admission account,
+// so this is the pin that the admission state survives a restore.
 func TestLiveOverloadSnapshotRestore(t *testing.T) {
 	probe := overloadScenario(mustSchedule(scenario.Constant("probe", 1, 160*sim.Millisecond)), 8)
 	capQPS := fleetAdmissionCapacity(probe, 0.85)

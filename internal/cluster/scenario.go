@@ -447,8 +447,8 @@ func newEpochResult(e int, pw epochWindow) EpochResult {
 // measurements and appends it to out with its park, unpark, crash and
 // restart bookkeeping. Every member of a class shares its
 // representative's rate and park state in every epoch (both are part
-// of what makes a class), so each node's rate is read from its class
-// timeline and the counts are taken per class, weighted by class size,
+// of what makes a class), so each node's rate is read from its class's
+// measurement and the counts are taken per class, weighted by class size,
 // and are exact. The aggregation runs either over every
 // node in fleet order, each carrying its class's measurement (the
 // full-detail default), or with CompactNodes over one weighted entry
@@ -474,7 +474,7 @@ func foldEpochs(c resolvedScenario, plan []epochWindow, classes []timelineClass,
 		for ci := range classes {
 			cl := &classes[ci]
 			iv := cl.results[0][e]
-			rate := cl.spec.Intervals[e].Rate
+			rate := iv.RateQPS
 			m := len(cl.members)
 			if c.CompactNodes {
 				nodes[ci] = NodeResult{Node: cl.rep, RateQPS: rate, Parked: iv.Parked, Result: iv.Result}

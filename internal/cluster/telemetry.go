@@ -108,11 +108,10 @@ func nodeTelemetry(node int, rate float64, iv *server.IntervalResult, live int) 
 	}
 }
 
-// fleetTelemetry folds per-class epoch measurements into the fleet
-// sample a controller observes. Classes are weighted by multiplicity,
-// so the aggregation cost is O(classes) — compact fleets never pay
-// O(nodes) for telemetry.
-func fleetTelemetry(epoch int, pw epochWindow, classes []*liveClass, compact bool, totalNodes int) FleetTelemetry {
+// windowTelemetry returns the sample's fields that come from the epoch
+// window and the fleet size rather than from the measurements, so a
+// checkpoint need not store them.
+func windowTelemetry(epoch int, pw epochWindow, totalNodes int) FleetTelemetry {
 	t := FleetTelemetry{
 		Epoch:           epoch,
 		Start:           pw.start,
@@ -125,6 +124,15 @@ func fleetTelemetry(epoch int, pw epochWindow, classes []*liveClass, compact boo
 	if pw.backlogReq > 0 {
 		t.BacklogRate = pw.backlogReq / (float64(pw.end-pw.start) / 1e9)
 	}
+	return t
+}
+
+// fleetTelemetry folds per-class epoch measurements into the fleet
+// sample a controller observes. Classes are weighted by multiplicity,
+// so the aggregation cost is O(classes) — compact fleets never pay
+// O(nodes) for telemetry.
+func fleetTelemetry(epoch int, pw epochWindow, classes []*liveClass, compact bool, totalNodes int) FleetTelemetry {
+	t := windowTelemetry(epoch, pw, totalNodes)
 	var utilSum, depthSum float64 // over active nodes
 	for _, cl := range classes {
 		iv := &cl.results[epoch]

@@ -38,7 +38,9 @@ func GovernorAblation(o Options) (GovernorAblationResult, error) {
 	points := make([]GovernorAblationPoint, len(o.Rates)*len(policies))
 	err := parallelMap(len(points), func(i int) error {
 		rate, policy := o.Rates[i/len(policies)], policies[i%len(policies)]
-		res, err := runWithPolicy(o, policy, rate, profile)
+		cfg := o.serviceConfig(governor.Baseline, profile, rate)
+		cfg.GovernorPolicy = policy
+		res, err := run(cfg)
 		if err != nil {
 			return err
 		}
@@ -54,13 +56,6 @@ func GovernorAblation(o Options) (GovernorAblationResult, error) {
 	}
 	out.Points = points
 	return out, nil
-}
-
-func runWithPolicy(o Options, policy string, rate float64, profile workload.Profile) (res serverResult, err error) {
-	return runServerConfig(serverConfig{
-		Platform: governor.Baseline, Policy: policy,
-		Profile: profile, Rate: rate, Options: o,
-	})
 }
 
 // Table renders the governor ablation.
@@ -226,10 +221,9 @@ func NoiseAblation(o Options) (NoiseAblationResult, error) {
 	points := make([]NoiseAblationPoint, len(periods))
 	err := parallelMap(len(periods), func(i int) error {
 		period := periods[i]
-		res, err := runServerConfig(serverConfig{
-			Platform: governor.Baseline, Profile: workload.Memcached(),
-			Rate: 10e3, Options: o, NoisePeriod: period,
-		})
+		cfg := o.serviceConfig(governor.Baseline, workload.Memcached(), 10e3)
+		cfg.OSNoisePeriod = period
+		res, err := run(cfg)
 		if err != nil {
 			return err
 		}

@@ -6,7 +6,6 @@ import (
 	"repro/internal/cstate"
 	"repro/internal/governor"
 	"repro/internal/report"
-	"repro/internal/runner"
 	"repro/internal/server"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -43,20 +42,11 @@ func Dispatch(o Options) (DispatchResult, error) {
 	}
 	err := parallelMap(len(o.Rates)*np, func(i int) error {
 		ri, pi := i/np, i%np
-		res, err := runner.Default().Run(server.Config{
-			Platform:   governor.Baseline,
-			Profile:    profile,
-			RatePerSec: o.Rates[ri],
-			Duration:   o.Duration,
-			Warmup:     o.Warmup,
-			Seed:       o.Seed,
-			Dispatch:   out.Policies[pi],
-			LoadGen:    o.LoadGen,
-
-			ClosedLoopConnections: o.Connections,
-		})
+		cfg := o.serviceConfig(governor.Baseline, profile, o.Rates[ri])
+		cfg.Dispatch = out.Policies[pi]
+		res, err := run(cfg)
 		if err != nil {
-			return fmt.Errorf("experiments: dispatch %s @ %.0f QPS: %w", out.Policies[pi], o.Rates[ri], err)
+			return fmt.Errorf("dispatch %s: %w", out.Policies[pi], err)
 		}
 		points[ri].Results[pi] = res
 		return nil

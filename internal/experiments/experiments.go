@@ -177,62 +177,38 @@ func (o Options) serviceGrid(profile workload.Profile, rates []float64, platform
 	return grid, nil
 }
 
-// serverResult aliases the simulator result for the ablation helpers.
-type serverResult = server.Result
-
-// serverConfig bundles the extra knobs the ablation studies vary.
-type serverConfig struct {
-	Platform    governor.Config
-	Policy      string
-	Profile     workload.Profile
-	Rate        float64
-	NoisePeriod sim.Time
-	Options     Options
-}
-
-// runServerConfig executes one simulation with ablation overrides.
-func runServerConfig(sc serverConfig) (server.Result, error) {
-	o := sc.Options.normalize()
-	cfg := server.Config{
-		Platform:       sc.Platform,
-		GovernorPolicy: sc.Policy,
-		Profile:        sc.Profile,
-		RatePerSec:     sc.Rate,
-		Duration:       o.Duration,
-		Warmup:         o.Warmup,
-		Seed:           o.Seed,
-		OSNoisePeriod:  sc.NoisePeriod,
-		Dispatch:       o.Dispatch,
-		LoadGen:        o.LoadGen,
+// serviceConfig returns a single-node run of profile at rate on
+// platform under the options' duration, warmup, seed, dispatch policy
+// and load generator. Each study sets the knobs it varies on the
+// result.
+func (o Options) serviceConfig(platform governor.Config, profile workload.Profile, rate float64) server.Config {
+	return server.Config{
+		Platform:   platform,
+		Profile:    profile,
+		RatePerSec: rate,
+		Duration:   o.Duration,
+		Warmup:     o.Warmup,
+		Seed:       o.Seed,
+		Dispatch:   o.Dispatch,
+		LoadGen:    o.LoadGen,
 
 		ClosedLoopConnections: o.Connections,
 	}
+}
+
+// run executes one simulation, memoized through the shared runner.
+func run(cfg server.Config) (server.Result, error) {
 	res, err := runner.Default().Run(cfg)
 	if err != nil {
-		return server.Result{}, fmt.Errorf("experiments: %s: %w", sc.Platform.Name, err)
+		return server.Result{}, fmt.Errorf("experiments: %s @ %.0f QPS: %w", cfg.Platform.Name, cfg.RatePerSec, err)
 	}
 	return res, nil
 }
 
-// runService executes one simulation with the experiment options,
-// memoized through the shared runner.
+// runService executes one simulation with the experiment options;
+// a non-zero fixedFreqHz pins the clock.
 func (o Options) runService(platform governor.Config, profile workload.Profile, rate, fixedFreqHz float64) (server.Result, error) {
-	cfg := server.Config{
-		Platform:    platform,
-		Profile:     profile,
-		RatePerSec:  rate,
-		Duration:    o.Duration,
-		Warmup:      o.Warmup,
-		Seed:        o.Seed,
-		FixedFreqHz: fixedFreqHz,
-		Dispatch:    o.Dispatch,
-		LoadGen:     o.LoadGen,
-
-		ClosedLoopConnections: o.Connections,
-	}
-	res, err := runner.Default().Run(cfg)
-	if err != nil {
-		return server.Result{}, fmt.Errorf("experiments: %s @ %.0f QPS: %w", platform.Name, rate, err)
-	}
-	return res, nil
+	cfg := o.serviceConfig(platform, profile, rate)
+	cfg.FixedFreqHz = fixedFreqHz
+	return run(cfg)
 }

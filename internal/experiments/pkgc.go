@@ -5,8 +5,6 @@ import (
 
 	"repro/internal/governor"
 	"repro/internal/report"
-	"repro/internal/runner"
-	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -43,20 +41,10 @@ func PkgIdle(o Options) (PkgIdleResult, error) {
 	points := make([]PkgIdlePoint, len(rates)*len(delays))
 	err := parallelMap(len(points), func(i int) error {
 		rate, delay := rates[i/len(delays)], delays[i%len(delays)]
-		res, err := runner.Default().Run(server.Config{
-			Platform:       governor.AW,
-			Profile:        profile,
-			RatePerSec:     rate,
-			Duration:       o.Duration,
-			Warmup:         o.Warmup,
-			Seed:           o.Seed,
-			PkgIdleEnabled: true,
-			PkgEntryDelay:  delay,
-			Dispatch:       o.Dispatch,
-			LoadGen:        o.LoadGen,
-
-			ClosedLoopConnections: o.Connections,
-		})
+		cfg := o.serviceConfig(governor.AW, profile, rate)
+		cfg.PkgIdleEnabled = true
+		cfg.PkgEntryDelay = delay
+		res, err := run(cfg)
 		if err != nil {
 			return err
 		}

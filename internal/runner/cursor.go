@@ -1,8 +1,6 @@
 package runner
 
 import (
-	"fmt"
-
 	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/snapbuf"
@@ -113,38 +111,37 @@ func InstanceConfig(node server.Config, restarts int) server.Config {
 	return node
 }
 
-// AppendState appends the cursor's timeline position: the interval
-// numbering, the crash flag and restart count, and the warm instance's
-// state unless the node is down (then it holds none).
+// AppendState appends the warm instance's state, or nothing while the
+// node is down. The cursor's position is not encoded: DecodeCursor
+// derives it from the timeline's results.
 func (tc *TimelineCursor) AppendState(e *snapbuf.Encoder) error {
-	e.I64(int64(tc.index))
-	e.Bool(tc.down)
-	e.I64(int64(tc.restarts))
 	if tc.down {
 		return nil
 	}
 	return server.AppendState(e, tc.ins)
 }
 
-// DecodeCursor rebuilds a cursor over node from what AppendState wrote:
-// the live instance is rebuilt from InstanceConfig(node, restarts) and
-// its warm state decoded over it, never re-simulated.
-func DecodeCursor(d *snapbuf.Decoder, node server.Config, park bool) (*TimelineCursor, error) {
-	index, down, restarts := d.I64(), d.Bool(), d.I64()
-	if err := d.Err(); err != nil {
+// DecodeCursor rebuilds a cursor over node that has measured results,
+// from what AppendState wrote. Its position follows from the results:
+// the interval numbering is their count, the node is down if the last
+// one is, and each Restarted result is one restart. The live instance
+// is rebuilt from InstanceConfig(node, restarts) and its warm state
+// decoded over it, never re-simulated.
+func DecodeCursor(d *snapbuf.Decoder, node server.Config, park bool, results []server.IntervalResult) (*TimelineCursor, error) {
+	tc := &TimelineCursor{node: node, park: park, index: len(results)}
+	for i := range results {
+		if results[i].Restarted {
+			tc.restarts++
+		}
+	}
+	if tc.down = len(results) > 0 && results[len(results)-1].Down; tc.down {
+		return tc, nil
+	}
+	ins, err := server.DecodeState(d, InstanceConfig(node, tc.restarts), park)
+	if err != nil {
 		return nil, err
 	}
-	if index < 0 || restarts < 0 || restarts > index {
-		return nil, fmt.Errorf("runner: corrupt cursor (interval %d, %d restarts)", index, restarts)
-	}
-	tc := &TimelineCursor{node: node, park: park, index: int(index), down: down, restarts: int(restarts)}
-	if !down {
-		ins, err := server.DecodeState(d, InstanceConfig(node, tc.restarts), park)
-		if err != nil {
-			return nil, err
-		}
-		tc.ins = ins
-	}
+	tc.ins = ins
 	return tc, nil
 }
 
@@ -159,12 +156,6 @@ func (tc *TimelineCursor) Clone() *TimelineCursor {
 	}
 	return &c
 }
-
-// Down reports whether the node is currently crashed.
-func (tc *TimelineCursor) Down() bool { return tc.down }
-
-// Restarts returns how many times the node has been rebuilt.
-func (tc *TimelineCursor) Restarts() int { return tc.restarts }
 
 // QueueDepth is the live instance's instantaneous backlog; a crashed
 // node has no queue.

@@ -397,23 +397,6 @@ func (r *Runner) Each(n int, fn func(i int) error) error {
 	return nil
 }
 
-// Sweep runs one simulation per config and returns results in order.
-func (r *Runner) Sweep(cfgs []server.Config) ([]server.Result, error) {
-	out := make([]server.Result, len(cfgs))
-	err := r.Each(len(cfgs), func(i int) error {
-		res, err := r.Run(cfgs[i])
-		if err != nil {
-			return err
-		}
-		out[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Stats reports cache hits and misses (uncacheable runs count as misses).
 func (r *Runner) Stats() (hits, misses uint64) {
 	return r.hits.Load(), r.misses.Load()

@@ -149,28 +149,6 @@ func TestEachBoundsParallelismAndPropagatesErrors(t *testing.T) {
 	}
 }
 
-func TestSweepPreservesOrder(t *testing.T) {
-	r := New(4)
-	rates := []float64{10e3, 100e3, 300e3}
-	cfgs := make([]server.Config, len(rates))
-	for i, rate := range rates {
-		cfgs[i] = quickCfg()
-		cfgs[i].RatePerSec = rate
-	}
-	out, err := r.Sweep(cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(rates) {
-		t.Fatalf("got %d results, want %d", len(out), len(rates))
-	}
-	for i, res := range out {
-		if res.Config.RatePerSec != rates[i] {
-			t.Fatalf("result %d is for rate %v, want %v", i, res.Config.RatePerSec, rates[i])
-		}
-	}
-}
-
 // TestUncacheableRunsExecute pins the uncached path: a custom Catalog
 // is not captured by value, so every run executes and counts a miss.
 func TestUncacheableRunsExecute(t *testing.T) {

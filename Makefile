@@ -8,7 +8,7 @@ BENCH ?= BenchmarkRunService
 PKG ?= ./internal/server
 # The packages whose microbenchmarks CI gates.
 GATED_PKGS := ./internal/sim ./internal/stats ./internal/server ./internal/cluster \
-	./internal/runner ./internal/scenariofile
+	./internal/runner ./internal/scenariofile ./cmd/awserved
 
 .PHONY: all build test race bench bench-micro profile profile-mem bench-json clean-prof loc
 

@@ -245,9 +245,10 @@ type ClusterRun struct {
 	// TargetUtil is the consolidate policy's per-node fill level
 	// (default 0.6).
 	TargetUtil float64
-	// ParkDrained quiesces nodes that receive no load (OS noise off,
-	// package idle-state model on), letting them reach package deep
-	// idle.
+	// ParkDrained parks nodes that receive no load: they drain, their
+	// cores drop to the deepest menu state, OS housekeeping goes
+	// tickless and the package idle-state model engages, so they reach
+	// package deep idle. A scenario unparks a node when load returns.
 	ParkDrained bool
 	// NodeOverride, when set, customizes node i's configuration after
 	// the template is applied — the hook for heterogeneous fleets, e.g.
@@ -264,9 +265,9 @@ type ClusterRun struct {
 }
 
 // buildFleet applies the fleet defaults and expands the per-node
-// configurations — the shared front half of RunCluster and RunScenario,
-// so scenario fleets can never drift from static fleets for the same
-// ClusterRun. The returned ClusterRun carries the defaulted fields.
+// configurations — the front half of RunScenario, and so of RunCluster
+// and the live scenario builders. The returned ClusterRun carries the
+// defaulted fields.
 func buildFleet(r ClusterRun) (ClusterRun, []NodeConfig, error) {
 	if r.Nodes < 0 {
 		return r, nil, fmt.Errorf("agilewatts: negative cluster size %d", r.Nodes)
@@ -278,9 +279,9 @@ func buildFleet(r ClusterRun) (ClusterRun, []NodeConfig, error) {
 	// The cluster dispatcher owns the rate (RateQPS is the aggregate it
 	// partitions) and the scenario engine owns any schedule, so neither
 	// reaches the node template. Connections/ThinkTime are carried
-	// through so cluster.Validate rejects closed-loop runs with a clear
-	// error (the cluster dispatcher partitions open-loop rates) instead
-	// of silently simulating open-loop.
+	// through so the scenario's validation rejects closed-loop runs with
+	// a clear error (the cluster dispatcher partitions open-loop rates)
+	// instead of silently simulating open-loop.
 	template := r.ServiceRun.serverConfig()
 	template.RatePerSec = 0
 	template.Schedule = nil
@@ -299,19 +300,15 @@ func buildFleet(r ClusterRun) (ClusterRun, []NodeConfig, error) {
 }
 
 // RunCluster simulates a fleet of per-node server simulations behind a
-// cluster-level dispatcher and aggregates the results.
+// cluster-level dispatcher and aggregates the results. It is the
+// degenerate scenario: RateQPS held constant for DurationNS, in one
+// epoch.
 func RunCluster(r ClusterRun) (ClusterResult, error) {
-	r, nodes, err := buildFleet(r)
+	res, err := RunScenario(ScenarioRun{ClusterRun: r, Scenario: ScenarioConstant})
 	if err != nil {
 		return ClusterResult{}, err
 	}
-	return cluster.Run(cluster.Config{
-		Nodes:       nodes,
-		RateQPS:     r.RateQPS,
-		Dispatch:    r.ClusterDispatch,
-		TargetUtil:  r.TargetUtil,
-		ParkDrained: r.ParkDrained,
-	})
+	return res.Epochs[0].Fleet, nil
 }
 
 // Schedule is a piecewise-linear time-varying load timeline; Phase is

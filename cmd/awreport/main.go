@@ -18,6 +18,31 @@ import (
 	agilewatts "repro"
 )
 
+// sections is the report's layout: every experiment, each named once
+// (TestSectionsCoverEveryExperiment pins this).
+var sections = []struct {
+	title string
+	names []string
+}{
+	{"Hardware model (Tables 1-4, Sec. 5.2)", []string{
+		agilewatts.ExpTable1, agilewatts.ExpTable2, agilewatts.ExpTable3,
+		agilewatts.ExpTable4, agilewatts.ExpLatency}},
+	{"Motivation and analytical models (Sec. 2, 6.3, 7.5)", []string{
+		agilewatts.ExpMotivation, agilewatts.ExpValidation, agilewatts.ExpSnoop}},
+	{"Evaluation (Figs. 8-13, Table 5)", []string{
+		agilewatts.ExpFigure8, agilewatts.ExpFigure9, agilewatts.ExpFigure10,
+		agilewatts.ExpFigure11, agilewatts.ExpFigure12, agilewatts.ExpFigure13,
+		agilewatts.ExpTable5}},
+	{"Extensions and ablations", []string{
+		agilewatts.ExpAMD, agilewatts.ExpRaceToHalt, agilewatts.ExpPkgIdle,
+		agilewatts.ExpBreakdown, agilewatts.ExpAblateGovernor,
+		agilewatts.ExpAblateZones, agilewatts.ExpAblatePower,
+		agilewatts.ExpAblateNoise}},
+	{"Energy proportionality and fleet studies", []string{
+		agilewatts.ExpProportion, agilewatts.ExpDispatch, agilewatts.ExpCluster,
+		agilewatts.ExpScenario, agilewatts.ExpFaults, agilewatts.ExpOverload}},
+}
+
 func main() {
 	quick := flag.Bool("quick", false, "reduced-fidelity simulation")
 	out := flag.String("o", "", "output file (default stdout)")
@@ -48,25 +73,6 @@ func main() {
 	fmt.Fprintf(w, "generated: %s   seed: %d   quick: %v\n\n",
 		time.Now().Format(time.RFC3339), opts.Seed, *quick)
 
-	sections := []struct {
-		title string
-		names []string
-	}{
-		{"Hardware model (Tables 1-4, Sec. 5.2)", []string{
-			agilewatts.ExpTable1, agilewatts.ExpTable2, agilewatts.ExpTable3,
-			agilewatts.ExpTable4, agilewatts.ExpLatency}},
-		{"Motivation and analytical models (Sec. 2, 6.3, 7.5)", []string{
-			agilewatts.ExpMotivation, agilewatts.ExpValidation, agilewatts.ExpSnoop}},
-		{"Evaluation (Figs. 8-13, Table 5)", []string{
-			agilewatts.ExpFigure8, agilewatts.ExpFigure9, agilewatts.ExpFigure10,
-			agilewatts.ExpFigure11, agilewatts.ExpFigure12, agilewatts.ExpFigure13,
-			agilewatts.ExpTable5}},
-		{"Extensions and ablations", []string{
-			agilewatts.ExpAMD, agilewatts.ExpRaceToHalt, agilewatts.ExpPkgIdle,
-			agilewatts.ExpBreakdown, agilewatts.ExpAblateGovernor,
-			agilewatts.ExpAblateZones, agilewatts.ExpAblatePower,
-			agilewatts.ExpAblateNoise}},
-	}
 	for _, sec := range sections {
 		fmt.Fprintf(w, "## %s\n\n", sec.title)
 		for _, name := range sec.names {

@@ -21,7 +21,7 @@ const fixturePath = "../../testdata/scenarios/crash-under-spike.json"
 
 // testDaemon builds a manual-clock daemon from the checked-in fixture
 // and serves both API surfaces from httptest listeners.
-func testDaemon(t *testing.T, scale float64) (*daemon, *httptest.Server, *httptest.Server) {
+func testDaemon(t testing.TB, scale float64) (*daemon, *httptest.Server, *httptest.Server) {
 	t.Helper()
 	name, run, err := selectScenario(fixturePath, "")
 	if err != nil {
@@ -54,7 +54,7 @@ func getJSON(t *testing.T, url string, v any) {
 	}
 }
 
-func postJSON(t *testing.T, url string, req, v any) *http.Response {
+func postJSON(t testing.TB, url string, req, v any) *http.Response {
 	t.Helper()
 	var body io.Reader
 	if req != nil {
@@ -586,5 +586,32 @@ func TestDaemonOversizedBodies(t *testing.T) {
 	getJSON(t, query.URL+"/v1/status", &st)
 	if !same || st.Epoch != 2 || !bytes.Equal(snapshot(), blob) {
 		t.Fatalf("oversized uploads touched the live fleet: replaced=%v epoch=%d", !same, st.Epoch)
+	}
+}
+
+// BenchmarkDaemonStep measures one /v1/step round trip per op on
+// testDaemon's fleet: the HTTP request, one epoch of the live fleet and
+// the telemetry reply. The fixture's scenario has six epochs, so the
+// daemon is rebuilt, off the clock, whenever its scenario ends.
+func BenchmarkDaemonStep(b *testing.B) {
+	var query, admin *httptest.Server
+	left := 0
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if left == 0 {
+			b.StopTimer()
+			if query != nil {
+				query.Close()
+				admin.Close()
+			}
+			var d *daemon
+			d, query, admin = testDaemon(b, 0)
+			left = d.live.Epochs()
+			b.StartTimer()
+		}
+		if resp := postJSON(b, admin.URL+"/v1/step", nil, nil); resp.StatusCode != http.StatusOK {
+			b.Fatalf("step: %s", resp.Status)
+		}
+		left--
 	}
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -16,10 +17,23 @@ var scenarioOnlyFlags = []string{
 	"controller", "ctrl-up", "ctrl-down", "ctrl-cooldown",
 }
 
+// fleetFlagReaders names, for each fleet-shape flag, the experiments
+// that read it. Either flag on a run naming none of them would do
+// nothing.
+var fleetFlagReaders = []struct {
+	flag        string
+	experiments []string
+}{
+	{"nodes", []string{agilewatts.ExpCluster, agilewatts.ExpScenario, agilewatts.ExpFaults, agilewatts.ExpOverload}},
+	{"cluster-dispatch", []string{agilewatts.ExpCluster, agilewatts.ExpScenario}},
+}
+
 // checkFlagCombos rejects flag combinations that would silently do
-// nothing: scenario knobs on a run that does not include the scenario
-// experiment, controller tuning without a controller, and any other
-// flag alongside -scenario-file (the file specifies the whole run).
+// nothing: fleet-shape flags on a run without a fleet experiment that
+// reads them, scenario knobs on a run that does not include the
+// scenario experiment, controller tuning without a controller, and any
+// other flag alongside -scenario-file (the file specifies the whole
+// run).
 // set holds the flag names the user explicitly passed (flag.Visit);
 // experiments is the positional experiment list.
 func checkFlagCombos(set map[string]bool, experiments []string) error {
@@ -36,12 +50,21 @@ func checkFlagCombos(set map[string]bool, experiments []string) error {
 		}
 		return nil
 	}
-	runsScenario := false
+	named := map[string]bool{}
 	for _, e := range experiments {
-		if e == agilewatts.ExpScenario {
-			runsScenario = true
-		}
+		named[e] = true
 	}
+	for _, f := range fleetFlagReaders {
+		if !set[f.flag] || slices.ContainsFunc(f.experiments, func(e string) bool { return named[e] }) {
+			continue
+		}
+		quoted := make([]string, len(f.experiments))
+		for i, e := range f.experiments {
+			quoted[i] = fmt.Sprintf("%q", e)
+		}
+		return fmt.Errorf("-%s only affects the %s experiments: name one on the command line", f.flag, strings.Join(quoted, ", "))
+	}
+	runsScenario := named[agilewatts.ExpScenario]
 	if !runsScenario {
 		for _, name := range scenarioOnlyFlags {
 			if set[name] {
@@ -58,12 +81,7 @@ func checkFlagCombos(set map[string]bool, experiments []string) error {
 	// single admission policy to the scenario experiment's fleets, while
 	// the overload experiment sweeps every policy itself and only honors
 	// the tuning knobs.
-	runsOverload := false
-	for _, e := range experiments {
-		if e == agilewatts.ExpOverload {
-			runsOverload = true
-		}
-	}
+	runsOverload := named[agilewatts.ExpOverload]
 	if set["overload"] && !runsScenario {
 		return fmt.Errorf("-overload applies admission control to the %q experiment: name it on the command line (the %q experiment sweeps every policy by itself)",
 			agilewatts.ExpScenario, agilewatts.ExpOverload)

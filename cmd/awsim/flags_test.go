@@ -27,6 +27,10 @@ func TestCheckFlagCombos(t *testing.T) {
 		{"overloaded scenario experiment", setOf("overload", "overload-max-util"), []string{"scenario"}, ""},
 		{"overload tuning on the overload experiment", setOf("overload-max-util", "overload-backlog-sec"), []string{"overload"}, ""},
 		{"scenario file alone", setOf("scenario-file"), nil, ""},
+		{"fleet flags on the cluster experiment", setOf("nodes", "cluster-dispatch"), []string{"cluster"}, ""},
+		{"fleet flags on the scenario experiment", setOf("nodes", "cluster-dispatch"), []string{"figure8", "scenario"}, ""},
+		{"nodes on the faults experiment", setOf("nodes"), []string{"faults"}, ""},
+		{"nodes on the overload experiment", setOf("nodes"), []string{"overload"}, ""},
 
 		{"scenario shape without the experiment", setOf("scenario"), nil, `only affects the "scenario" experiment`},
 		{"epoch-ms on the cluster experiment", setOf("epoch-ms"), []string{"cluster"}, `only affects the "scenario" experiment`},
@@ -36,6 +40,11 @@ func TestCheckFlagCombos(t *testing.T) {
 		{"ctrl cooldown without a controller", setOf("ctrl-cooldown"), []string{"scenario"}, "needs -controller"},
 		{"overload policy without the scenario experiment", setOf("overload"), []string{"overload"}, `applies admission control to the "scenario" experiment`},
 		{"overload tuning without a consumer", setOf("overload-backlog-sec"), []string{"cluster"}, `needs -overload or the "overload" experiment`},
+		{"nodes on a figure", setOf("nodes"), []string{"figure8"}, `-nodes only affects the "cluster", "scenario", "faults", "overload" experiments`},
+		{"nodes on the default run", setOf("nodes"), nil, "-nodes only affects"},
+		{"cluster dispatch on a figure", setOf("cluster-dispatch"), []string{"figure8"}, `-cluster-dispatch only affects the "cluster", "scenario" experiments`},
+		{"cluster dispatch on the faults experiment", setOf("cluster-dispatch"), []string{"faults"}, "-cluster-dispatch only affects"},
+		{"cluster dispatch on the overload experiment", setOf("nodes", "cluster-dispatch"), []string{"overload"}, "-cluster-dispatch only affects"},
 		{"scenario file plus other flags", setOf("scenario-file", "nodes", "controller"), nil, "ignored with -scenario-file"},
 		{"scenario file plus quick", setOf("scenario-file", "quick"), nil, "-quick ignored with -scenario-file"},
 	}

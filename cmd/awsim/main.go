@@ -12,8 +12,11 @@
 // (figures 8-13, table 5, validation). -dispatch and -loadgen override
 // the request placement policy and arrival generator for every
 // simulation, answering "what if the paper's server didn't round-robin"
-// without touching the experiment code. -nodes and -cluster-dispatch
-// parameterize the fleet-level cluster experiment:
+// without touching the experiment code. -nodes sizes the fleets of the
+// cluster, scenario, faults and overload experiments, and
+// -cluster-dispatch picks the cluster and scenario experiments'
+// partitioning policy; either is rejected on a run that names none of
+// its experiments:
 //
 //	awsim -nodes 8 -cluster-dispatch consolidate cluster
 //
@@ -62,9 +65,9 @@ func main() {
 	connections := flag.Int("connections", 0,
 		"closed-loop connection count (required with -loadgen closed-loop)")
 	nodes := flag.Int("nodes", 0,
-		"fleet size for the cluster experiment (default 4)")
+		"fleet size for the cluster, scenario, faults and overload experiments (default 4)")
 	clusterDispatch := flag.String("cluster-dispatch", "",
-		"cluster load-partitioning policy for the cluster experiment's cost rows: "+
+		"cluster load-partitioning policy for the cluster experiment's cost rows and the scenario experiment's fleets: "+
 			strings.Join(agilewatts.ClusterPolicies(), "|"))
 	scenarioName := flag.String("scenario", "",
 		"time-varying load shape for the scenario experiment: "+

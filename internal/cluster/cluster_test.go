@@ -3,11 +3,13 @@ package cluster
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cstate"
 	"repro/internal/datacenter"
 	"repro/internal/governor"
+	"repro/internal/scenario"
 	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -25,13 +27,17 @@ func quickNode(rate float64) server.Config {
 	}
 }
 
-func runCluster(t *testing.T, c Config) Result {
+// runCluster runs the fleet as a static fleet run: one epoch of a
+// constant schedule holding rate over the first node's measurement
+// window. It returns the epoch's fleet result.
+func runCluster(t *testing.T, c ScenarioConfig, rate float64) Result {
 	t.Helper()
-	res, err := Run(c)
-	if err != nil {
-		t.Fatal(err)
+	c.Schedule = mustSchedule(scenario.Constant("steady", rate, c.Nodes[0].Duration))
+	res := runScenario(t, c)
+	if len(res.Epochs) != 1 {
+		t.Fatalf("epochs = %d, want 1", len(res.Epochs))
 	}
-	return res
+	return res.Epochs[0].Fleet
 }
 
 // TestOneNodeSpreadMatchesRunService is the superset guarantee: a 1-node
@@ -47,11 +53,10 @@ func TestOneNodeSpreadMatchesRunService(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := runCluster(t, Config{
+	got := runCluster(t, ScenarioConfig{
 		Nodes:    []server.Config{node},
-		RateQPS:  150e3,
 		Dispatch: DispatchSpread,
-	})
+	}, 150e3)
 	if len(got.Nodes) != 1 {
 		t.Fatalf("nodes = %d", len(got.Nodes))
 	}
@@ -72,8 +77,8 @@ func TestOneNodeSpreadMatchesRunService(t *testing.T) {
 }
 
 func TestSpreadSplitsEvenlyAndDeterministically(t *testing.T) {
-	c := Config{Nodes: Homogeneous(4, quickNode(0)), RateQPS: 400e3}
-	res := runCluster(t, c)
+	c := ScenarioConfig{Nodes: Homogeneous(4, quickNode(0))}
+	res := runCluster(t, c, 400e3)
 	if res.ActiveNodes != 4 || res.IdleNodes != 0 {
 		t.Fatalf("active/idle = %d/%d, want 4/0", res.ActiveNodes, res.IdleNodes)
 	}
@@ -87,7 +92,7 @@ func TestSpreadSplitsEvenlyAndDeterministically(t *testing.T) {
 		res.Nodes[0].Result.AvgCorePowerW == res.Nodes[1].Result.AvgCorePowerW {
 		t.Error("distinct node seeds produced identical node results")
 	}
-	again := runCluster(t, c)
+	again := runCluster(t, c, 400e3)
 	if !reflect.DeepEqual(res, again) {
 		t.Error("fleet run not deterministic")
 	}
@@ -98,12 +103,11 @@ func TestLeastLoadedEqualizesHeterogeneousUtilization(t *testing.T) {
 	small.Cores = 10
 	big := quickNode(0)
 	big.Cores = 40
-	c := Config{
+	c := ScenarioConfig{
 		Nodes:    []server.Config{small, big},
-		RateQPS:  200e3,
 		Dispatch: DispatchLeastLoaded,
 	}
-	res := runCluster(t, c)
+	res := runCluster(t, c, 200e3)
 	// Capacity ratio is 1:4, so the split must be 40K/160K.
 	if math.Abs(res.Nodes[0].RateQPS-40e3) > 1 || math.Abs(res.Nodes[1].RateQPS-160e3) > 1 {
 		t.Errorf("rates = %v/%v, want 40000/160000",
@@ -112,13 +116,12 @@ func TestLeastLoadedEqualizesHeterogeneousUtilization(t *testing.T) {
 }
 
 func TestConsolidatePacksAndParks(t *testing.T) {
-	c := Config{
+	c := ScenarioConfig{
 		Nodes:       Homogeneous(4, quickNode(0)),
-		RateQPS:     100e3,
 		Dispatch:    DispatchConsolidate,
 		ParkDrained: true,
 	}
-	res := runCluster(t, c)
+	res := runCluster(t, c, 100e3)
 	// 100K QPS fits well inside one node at TargetUtil, so exactly one
 	// node carries load and three are parked.
 	if res.ActiveNodes != 1 || res.IdleNodes != 3 {
@@ -144,10 +147,7 @@ func TestConsolidatePacksAndParks(t *testing.T) {
 		}
 	}
 	// The packed fleet draws less than the spread fleet at this load.
-	spread := runCluster(t, Config{
-		Nodes:   Homogeneous(4, quickNode(0)),
-		RateQPS: 100e3,
-	})
+	spread := runCluster(t, ScenarioConfig{Nodes: Homogeneous(4, quickNode(0))}, 100e3)
 	if res.FleetPowerW >= spread.FleetPowerW {
 		t.Errorf("consolidate fleet %vW not below spread %vW",
 			res.FleetPowerW, spread.FleetPowerW)
@@ -171,12 +171,7 @@ func TestConsolidatePacksAndParks(t *testing.T) {
 
 func TestConsolidateSpillsOverflowProportionally(t *testing.T) {
 	nodes := Homogeneous(2, quickNode(0))
-	c := Config{Nodes: nodes, RateQPS: 1e9, Dispatch: DispatchConsolidate}
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	c.TargetUtil = defaultTargetUtil
-	rates := partitionConsolidate(c)
+	rates := partitionConsolidate(nodes, 1e9, defaultTargetUtil)
 	var total float64
 	for _, r := range rates {
 		total += r
@@ -195,10 +190,7 @@ func TestHeterogeneousCatalogs(t *testing.T) {
 	epyc.Catalog = cstate.EPYC()
 	epyc.Platform = governor.Config{Name: "EPYC_AllCStates",
 		Menu: []cstate.ID{cstate.C1, cstate.C1E, cstate.C6}}
-	res := runCluster(t, Config{
-		Nodes:   []server.Config{skx, epyc},
-		RateQPS: 200e3,
-	})
+	res := runCluster(t, ScenarioConfig{Nodes: []server.Config{skx, epyc}}, 200e3)
 	if res.Nodes[0].Result.AvgCorePowerW == res.Nodes[1].Result.AvgCorePowerW {
 		t.Error("mixed Skylake/EPYC nodes reported identical core power")
 	}
@@ -211,10 +203,7 @@ func TestMixedPlatformFleet(t *testing.T) {
 	base := quickNode(0)
 	aw := quickNode(0)
 	aw.Platform = governor.AW
-	res := runCluster(t, Config{
-		Nodes:   []server.Config{base, aw},
-		RateQPS: 200e3,
-	})
+	res := runCluster(t, ScenarioConfig{Nodes: []server.Config{base, aw}}, 200e3)
 	// The AW node must draw less core power than the Baseline node at the
 	// same per-node load (the paper's headline claim, fleet edition).
 	if res.Nodes[1].Result.AvgCorePowerW >= res.Nodes[0].Result.AvgCorePowerW {
@@ -240,7 +229,7 @@ func TestMeasuredFleetSavingsAgreeWithExtrapolation(t *testing.T) {
 		return nodes
 	}
 	fleetW := func(platform governor.Config) float64 {
-		res := runCluster(t, Config{Nodes: identical(platform), RateQPS: n * 100e3})
+		res := runCluster(t, ScenarioConfig{Nodes: identical(platform)}, n*100e3)
 		return res.FleetPowerW
 	}
 	singleW := func(platform governor.Config) float64 {
@@ -267,23 +256,37 @@ func TestMeasuredFleetSavingsAgreeWithExtrapolation(t *testing.T) {
 }
 
 func TestValidateRejectsBadConfigs(t *testing.T) {
-	if _, err := Run(Config{RateQPS: 1}); err == nil {
-		t.Error("empty fleet accepted")
+	// run builds the constant schedule a static fleet run needs, then
+	// runs the fleet; either step may reject the input.
+	run := func(c ScenarioConfig, rate float64) error {
+		sched, err := scenario.Constant("steady", rate, 10*sim.Millisecond)
+		if err != nil {
+			return err
+		}
+		c.Schedule = sched
+		_, err = RunScenario(c)
+		return err
 	}
-	if _, err := Run(Config{Nodes: Homogeneous(1, quickNode(0)), RateQPS: -1}); err == nil {
+	if err := run(ScenarioConfig{}, 1); err == nil || !strings.Contains(err.Error(), "cluster: no nodes") {
+		t.Errorf("empty fleet: err = %v", err)
+	}
+	if err := run(ScenarioConfig{Nodes: Homogeneous(1, quickNode(0))}, -1); err == nil {
 		t.Error("negative rate accepted")
 	}
-	if _, err := Run(Config{Nodes: Homogeneous(1, quickNode(0)), Dispatch: "route-66"}); err == nil {
-		t.Error("unknown policy accepted")
+	if err := run(ScenarioConfig{Nodes: Homogeneous(1, quickNode(0)), Dispatch: "route-66"}, 1); err == nil ||
+		!strings.Contains(err.Error(), `unknown dispatch policy "route-66"`) {
+		t.Errorf("unknown policy: err = %v", err)
 	}
 	closed := quickNode(0)
 	closed.LoadGen = server.LoadClosedLoop
 	closed.ClosedLoopConnections = 8
-	if _, err := Run(Config{Nodes: []server.Config{closed}, RateQPS: 1}); err == nil {
-		t.Error("closed-loop node accepted")
+	if err := run(ScenarioConfig{Nodes: []server.Config{closed}}, 1); err == nil ||
+		!strings.Contains(err.Error(), "node 0 uses closed-loop load") {
+		t.Errorf("closed-loop node: err = %v", err)
 	}
-	if _, err := Run(Config{Nodes: Homogeneous(1, quickNode(0)), TargetUtil: 1.5}); err == nil {
-		t.Error("TargetUtil > 1 accepted")
+	if err := run(ScenarioConfig{Nodes: Homogeneous(1, quickNode(0)), TargetUtil: 1.5}, 1); err == nil ||
+		!strings.Contains(err.Error(), "TargetUtil 1.5 out of (0,1]") {
+		t.Errorf("TargetUtil > 1: err = %v", err)
 	}
 }
 

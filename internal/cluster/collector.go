@@ -8,7 +8,7 @@ import (
 // NodeResult is one node's simulation outcome plus its share of the
 // fleet load.
 type NodeResult struct {
-	// Node is the index into Config.Nodes.
+	// Node is the index into ScenarioConfig.Nodes.
 	Node int
 	// RateQPS is the load the cluster dispatcher assigned to this node.
 	RateQPS float64
@@ -23,11 +23,12 @@ type NodeResult struct {
 // Nodes; the fleet-level fields are what the cluster experiment and the
 // datacenter cost model consume.
 type Result struct {
-	// Dispatch and RateQPS echo the fleet configuration.
+	// Dispatch and RateQPS echo the dispatch policy and the offered
+	// rate it partitioned.
 	Dispatch string
 	RateQPS  float64
 
-	// Nodes holds every node's result, indexed like Config.Nodes.
+	// Nodes holds every node's result, indexed like ScenarioConfig.Nodes.
 	Nodes []NodeResult
 
 	// FleetPowerW is the total package power across nodes — the
@@ -122,22 +123,17 @@ func combineSummaries(parts []server.LatencySummary, mults []int) server.Latency
 	return out
 }
 
-// aggregate folds the per-node results into the fleet Result.
-func aggregate(c Config, nodes []NodeResult) Result {
-	return aggregateWeighted(c, nodes, nil)
-}
-
-// aggregateWeighted folds per-entry results into the fleet Result with
-// entry i standing for mults[i] identical nodes — the class-collapsed
+// aggregateWeighted folds per-entry results into the fleet Result,
+// echoing the dispatch policy and the rate it partitioned, with entry i
+// standing for mults[i] identical nodes — the class-collapsed
 // collector. nil mults means unit multiplicities with full per-node
-// detail (Result.Nodes is set), and is bit-for-bit the historical
-// aggregate: every weighted term reduces to w=1 exactly. With explicit
-// mults the result is compact — Nodes stays nil, counts are weighted
-// sums, and the p99-spread quantiles run through stats.WeightedSeries,
-// which answers exactly what a SortedSeries over the expanded multiset
-// would.
-func aggregateWeighted(c Config, nodes []NodeResult, mults []int) Result {
-	out := Result{Dispatch: c.Dispatch, RateQPS: c.RateQPS}
+// detail (Result.Nodes is set): every weighted term reduces to w=1
+// exactly. With explicit mults the result is compact — Nodes stays nil,
+// counts are weighted sums, and the p99-spread quantiles run through
+// stats.WeightedSeries, which answers exactly what a SortedSeries over
+// the expanded multiset would.
+func aggregateWeighted(dispatch string, rate float64, nodes []NodeResult, mults []int) Result {
+	out := Result{Dispatch: dispatch, RateQPS: rate}
 	if mults == nil {
 		out.Nodes = nodes
 	}

@@ -6,7 +6,7 @@ import (
 	"repro/internal/server"
 )
 
-// Cluster dispatch policy names accepted by Config.Dispatch.
+// Cluster dispatch policy names accepted by ScenarioConfig.Dispatch.
 const (
 	// DispatchSpread splits the aggregate load evenly across all nodes —
 	// the fleet-level analogue of round-robin request placement, and the
@@ -54,8 +54,12 @@ func capacityQPS(cfg *server.Config) float64 {
 	return float64(cores) * 1e9 / mean
 }
 
+// partitionFunc splits rate across nodes, returning one rate per node
+// in fleet order; targetUtil is the consolidate fill level.
+type partitionFunc func(nodes []server.Config, rate, targetUtil float64) []float64
+
 // partitioner returns the rate-partition function for the named policy.
-func partitioner(name string) (func(Config) []float64, error) {
+func partitioner(name string) (partitionFunc, error) {
 	switch name {
 	case "", DispatchSpread:
 		return partitionSpread, nil
@@ -68,38 +72,38 @@ func partitioner(name string) (func(Config) []float64, error) {
 	}
 }
 
-func partitionSpread(c Config) []float64 {
-	rates := make([]float64, len(c.Nodes))
-	per := c.RateQPS / float64(len(c.Nodes))
+func partitionSpread(nodes []server.Config, rate, _ float64) []float64 {
+	rates := make([]float64, len(nodes))
+	per := rate / float64(len(nodes))
 	for i := range rates {
 		rates[i] = per
 	}
 	return rates
 }
 
-func partitionLeastLoaded(c Config) []float64 {
-	rates := make([]float64, len(c.Nodes))
+func partitionLeastLoaded(nodes []server.Config, rate, targetUtil float64) []float64 {
+	rates := make([]float64, len(nodes))
 	var total float64
-	caps := make([]float64, len(c.Nodes))
-	for i := range c.Nodes {
-		caps[i] = capacityQPS(&c.Nodes[i])
+	caps := make([]float64, len(nodes))
+	for i := range nodes {
+		caps[i] = capacityQPS(&nodes[i])
 		total += caps[i]
 	}
 	if total <= 0 {
-		return partitionSpread(c)
+		return partitionSpread(nodes, rate, targetUtil)
 	}
 	for i := range rates {
-		rates[i] = c.RateQPS * caps[i] / total
+		rates[i] = rate * caps[i] / total
 	}
 	return rates
 }
 
-func partitionConsolidate(c Config) []float64 {
-	rates := make([]float64, len(c.Nodes))
-	remaining := c.RateQPS
+func partitionConsolidate(nodes []server.Config, rate, targetUtil float64) []float64 {
+	rates := make([]float64, len(nodes))
+	remaining := rate
 	var totalCap float64
-	for i := range c.Nodes {
-		room := c.TargetUtil * capacityQPS(&c.Nodes[i])
+	for i := range nodes {
+		room := targetUtil * capacityQPS(&nodes[i])
 		totalCap += room
 		if remaining <= 0 {
 			continue
@@ -112,13 +116,13 @@ func partitionConsolidate(c Config) []float64 {
 		remaining -= take
 	}
 	if remaining > 0 {
-		// The fleet is offered more than TargetUtil everywhere: spill the
+		// The fleet is offered more than targetUtil everywhere: spill the
 		// excess proportionally to capacity rather than dropping load.
 		for i := range rates {
 			if totalCap > 0 {
-				rates[i] += remaining * (c.TargetUtil * capacityQPS(&c.Nodes[i])) / totalCap
+				rates[i] += remaining * (targetUtil * capacityQPS(&nodes[i])) / totalCap
 			} else {
-				rates[i] += remaining / float64(len(c.Nodes))
+				rates[i] += remaining / float64(len(nodes))
 			}
 		}
 	}

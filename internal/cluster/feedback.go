@@ -174,7 +174,7 @@ func runEpoch(classes []*liveClass, window sim.Time, r *runner.Runner) error {
 // prefix of the fleet (no node down) the policy reads the fleet's own
 // configs instead of copies, and when it is the whole fleet the
 // policy's own slice is the result.
-func partitionOver(c resolvedScenario, part func(Config) []float64, rate float64, up []int) []float64 {
+func partitionOver(c resolvedScenario, part partitionFunc, rate float64, up []int) []float64 {
 	if len(up) == 0 {
 		return make([]float64, len(c.Nodes))
 	}
@@ -185,12 +185,7 @@ func partitionOver(c resolvedScenario, part func(Config) []float64, rate float64
 			upNodes[j] = c.Nodes[i]
 		}
 	}
-	sub := part(Config{
-		Nodes:      upNodes,
-		RateQPS:    rate,
-		Dispatch:   c.Dispatch,
-		TargetUtil: c.TargetUtil,
-	})
+	sub := part(upNodes, rate, c.TargetUtil)
 	if len(up) == len(c.Nodes) {
 		return sub
 	}

@@ -10,11 +10,11 @@ import (
 	"repro/internal/xrand"
 )
 
-// ScenarioConfig describes a time-varying fleet simulation: the schedule
-// replaces the static RateQPS, and every Epoch the dispatcher
-// re-partitions the window's mean rate across the nodes, so
-// consolidation parks newly drained nodes as load falls and unparks
-// them as it returns.
+// ScenarioConfig describes a fleet simulation: every Epoch the
+// dispatcher partitions the schedule's mean rate over the window across
+// the nodes, so consolidation parks newly drained nodes as load falls
+// and unparks them as it returns. A static fleet at one rate is a
+// constant schedule in one epoch.
 //
 // Every node runs its entire rate timeline on one resumable
 // server.Instance: a single warmup for the whole scenario,
@@ -24,18 +24,32 @@ import (
 // fleet epoch by epoch, one warm instance per timeline equivalence
 // class.
 type ScenarioConfig struct {
-	// Nodes are the per-node server configurations (see Config.Nodes).
-	// Each node's RatePerSec/Schedule/Duration are ignored (the epoch
-	// plan supplies them) and Warmup is paid once per scenario.
+	// Nodes are the per-node server configurations. Each node's
+	// RatePerSec/Schedule/Duration are ignored (the dispatcher and the
+	// epoch plan supply them) and Warmup is paid once per scenario;
+	// every other field (catalog, platform, core count, seed, ...) is
+	// honored as given, so heterogeneous fleets mix freely.
 	Nodes []server.Config
 	// Schedule is the offered-load timeline partitioned across the fleet.
 	Schedule *scenario.Schedule
 	// Epoch is the re-dispatch interval (default: the whole schedule in
-	// one epoch — the degenerate case that reproduces the static Run).
+	// one epoch). One epoch over a constant schedule is a static fleet
+	// run: each node's only interval is a standalone simulation at its
+	// routed rate.
 	Epoch sim.Time
-	// Dispatch, TargetUtil and ParkDrained mirror Config.
-	Dispatch    string
-	TargetUtil  float64
+	// Dispatch names the cluster-level load partitioning policy
+	// (default spread; see Policies).
+	Dispatch string
+	// TargetUtil is the per-node utilization the consolidate policy
+	// fills nodes to before spilling onto the next (default 0.6).
+	TargetUtil float64
+	// ParkDrained parks a node for every epoch the dispatcher routes it
+	// no load: its instance drains, its cores drop to the deepest menu
+	// state, OS housekeeping goes tickless and the package idle model
+	// engages, so a drained node reaches package deep idle instead of
+	// burning full uncore power on housekeeping wake-ups. Its first
+	// loaded epoch unparks it and pays the real exit latency. Nodes that
+	// receive load are never modified.
 	ParkDrained bool
 	// Replicas is the number of extra seeded replicas simulated per
 	// timeline equivalence class (the K in "representative plus K
@@ -144,18 +158,22 @@ func (c ScenarioConfig) Normalize() (resolvedScenario, error) {
 	if r.Overload, err = normalizeOverload(c.Overload); err != nil {
 		return r, err
 	}
-	// The static validator covers nodes, policy name, TargetUtil and the
-	// closed-loop rejection.
-	if err := (Config{
-		Nodes:      c.Nodes,
-		RateQPS:    0,
-		Dispatch:   r.Dispatch,
-		TargetUtil: r.TargetUtil,
-	}).Validate(); err != nil {
+	if len(c.Nodes) == 0 {
+		return r, fmt.Errorf("cluster: no nodes")
+	}
+	if r.TargetUtil < 0 || r.TargetUtil > 1 {
+		return r, fmt.Errorf("cluster: TargetUtil %v out of (0,1]", r.TargetUtil)
+	}
+	if _, err := partitioner(r.Dispatch); err != nil {
 		return r, err
 	}
+	for i := range c.Nodes {
+		if n := &c.Nodes[i]; n.LoadGen == server.LoadClosedLoop || n.ClosedLoopConnections > 0 {
+			return r, fmt.Errorf("cluster: node %d uses closed-loop load; the cluster dispatcher partitions open-loop rates", i)
+		}
+	}
 	// Fault windows reference node indices, so they validate after the
-	// static pass has established the fleet exists.
+	// fleet is known to exist.
 	if err := c.Faults.validate(len(c.Nodes)); err != nil {
 		return r, err
 	}
@@ -343,24 +361,12 @@ func planEpochs(c resolvedScenario) []epochWindow {
 	}
 }
 
-// fleetConfig is the static-equivalent Config an epoch's aggregation
-// runs under.
-func (c resolvedScenario) fleetConfig(rate float64) Config {
-	return Config{
-		Nodes:       c.Nodes,
-		RateQPS:     rate,
-		Dispatch:    c.Dispatch,
-		TargetUtil:  c.TargetUtil,
-		ParkDrained: c.ParkDrained,
-	}
-}
-
 // scenarioPlan is a normalized scenario with its epoch windows, fault
 // rows and dispatch policy resolved: the immutable front half of a Live,
 // shared by its forks.
 type scenarioPlan struct {
 	c      resolvedScenario
-	part   func(Config) []float64
+	part   partitionFunc
 	r      *runner.Runner
 	plan   []epochWindow
 	faults [][]runner.Fault
@@ -497,7 +503,7 @@ func foldEpochs(c resolvedScenario, plan []epochWindow, classes []timelineClass,
 			}
 			parked[ci] = iv.Parked
 		}
-		ep.Fleet = aggregateWeighted(c.fleetConfig(pw.rate), nodes, mults)
+		ep.Fleet = aggregateWeighted(c.Dispatch, pw.rate, nodes, mults)
 		applyRestartPenalty(c, &ep, pw.end-pw.start)
 		ep.CI = epochClassCI(classes, e, c.Replicas)
 		out.Epochs = append(out.Epochs, ep)

@@ -11,45 +11,6 @@ import (
 	"repro/internal/sim"
 )
 
-// TestWarmOneEpochMatchesStaticRun is the scenario engine's anchor: a
-// one-phase constant schedule in a single epoch must reproduce the
-// static cluster.Run bit-for-bit — the resumable Instance's first
-// interval is the one-shot simulation. Consolidate with ParkDrained,
-// the one combination that parks a node at this load, is left out on
-// purpose: the scenario simulates the park transition on the running
-// instance, while the static run reconfigures the parked node up front
-// (park), so the two are different simulations.
-func TestWarmOneEpochMatchesStaticRun(t *testing.T) {
-	nodes := Homogeneous(3, quickNode(0))
-	dur := nodes[0].Duration
-	sched := mustSchedule(scenario.Constant("steady", 240e3, dur))
-	for _, tc := range []struct {
-		dispatch string
-		park     bool
-	}{
-		{DispatchSpread, false},
-		{DispatchLeastLoaded, false},
-		{DispatchConsolidate, false},
-		{DispatchSpread, true},
-		{DispatchLeastLoaded, true},
-	} {
-		static, err := Run(Config{Nodes: nodes, RateQPS: 240e3, Dispatch: tc.dispatch, ParkDrained: tc.park})
-		if err != nil {
-			t.Fatal(err)
-		}
-		warm := runScenario(t, ScenarioConfig{
-			Nodes: nodes, Schedule: sched, Epoch: dur, Dispatch: tc.dispatch, ParkDrained: tc.park,
-		})
-		if len(warm.Epochs) != 1 {
-			t.Fatalf("%s park=%v: epochs = %d, want 1", tc.dispatch, tc.park, len(warm.Epochs))
-		}
-		if !reflect.DeepEqual(warm.Epochs[0].Fleet, static) {
-			t.Errorf("%s park=%v: one-epoch scenario fleet diverged from static Run\n got %+v\nwant %+v",
-				tc.dispatch, tc.park, warm.Epochs[0].Fleet, static)
-		}
-	}
-}
-
 // TestWarmDiurnalConsolidateParksAndUnparksForReal is the warm path's
 // headline behavior: over a diurnal day with consolidate+park, the
 // parked timeline follows the load, and the park/unpark transitions are
@@ -169,7 +130,7 @@ func referencePlanRates(p scenarioPlan) [][]float64 {
 			if len(up) == 0 {
 				return out
 			}
-			sub := p.part(Config{Nodes: upNodes, RateQPS: rate, Dispatch: p.c.Dispatch, TargetUtil: p.c.TargetUtil})
+			sub := p.part(upNodes, rate, p.c.TargetUtil)
 			for j, i := range up {
 				out[i] = sub[j]
 			}
@@ -195,27 +156,37 @@ func referencePlanRates(p scenarioPlan) [][]float64 {
 // fleets cover distinct seeds, shared seeds that split under
 // consolidation and parking, a crash and a straggler among shared
 // seeds (the straggler differs from its class mates only by its fault),
-// and overload shedding.
+// and overload shedding. The one-epoch cases are static fleet runs —
+// a constant schedule in one epoch — under every dispatch policy with
+// parking on and off; consolidate at this load drains two of the three
+// nodes, so with parking they are parked from their first interval.
 func TestOpenLoopMatchesPerNodeTimelines(t *testing.T) {
 	node := quickNode(0)
 	node.Warmup = 5 * sim.Millisecond
 	total := 120 * sim.Millisecond
 	diurnal := mustSchedule(scenario.Diurnal(2e6, 0.6, total, 6))
+	static := quickNode(0)
+	steady := mustSchedule(scenario.Constant("steady", 240e3, static.Duration))
+	oneEpoch := func(dispatch string, park bool) ScenarioConfig {
+		return ScenarioConfig{Nodes: Homogeneous(3, static), Schedule: steady, Dispatch: dispatch, ParkDrained: park}
+	}
 	cases := []struct {
 		name string
 		cfg  ScenarioConfig
 		// minClasses and maxClasses bound the collapse, so each fleet
 		// exercises the shape it is named for.
 		minClasses, maxClasses int
+		// parksFirst requires a node parked in the first epoch.
+		parksFirst bool
 	}{
 		{"spread-distinct-seeds", ScenarioConfig{
 			Nodes: Homogeneous(4, node), Schedule: diurnal, Epoch: total / 6,
 			Dispatch: DispatchSpread,
-		}, 4, 4},
+		}, 4, 4, false},
 		{"consolidate-park-shared-seeds", ScenarioConfig{
 			Nodes: sharedFleet(8, node), Schedule: diurnal, Epoch: total / 6,
 			Dispatch: DispatchConsolidate, ParkDrained: true,
-		}, 2, 7},
+		}, 2, 7, false},
 		{"crash-straggler-shared-seeds", ScenarioConfig{
 			Nodes: sharedFleet(4, node), Schedule: diurnal, Epoch: total / 6,
 			Dispatch: DispatchSpread, ParkDrained: true,
@@ -223,13 +194,19 @@ func TestOpenLoopMatchesPerNodeTimelines(t *testing.T) {
 				{Node: 1, Kind: FaultCrash, Start: 40 * sim.Millisecond, End: 80 * sim.Millisecond},
 				{Node: 2, Kind: FaultStraggler, Start: 20 * sim.Millisecond, End: 60 * sim.Millisecond, Factor: 3},
 			}},
-		}, 3, 3},
+		}, 3, 3, false},
 		{"overload-shed", ScenarioConfig{
 			Nodes:    Homogeneous(4, node),
 			Schedule: mustSchedule(scenario.Spike(4e6, 5, 80*sim.Millisecond, 20*sim.Millisecond, 40*sim.Millisecond)),
 			Epoch:    20 * sim.Millisecond, Dispatch: DispatchConsolidate, ParkDrained: true,
 			Overload: OverloadSpec{Policy: OverloadShed},
-		}, 4, 4},
+		}, 4, 4, false},
+		{"one-epoch-spread", oneEpoch(DispatchSpread, false), 3, 3, false},
+		{"one-epoch-spread-park", oneEpoch(DispatchSpread, true), 3, 3, false},
+		{"one-epoch-least-loaded", oneEpoch(DispatchLeastLoaded, false), 3, 3, false},
+		{"one-epoch-least-loaded-park", oneEpoch(DispatchLeastLoaded, true), 3, 3, false},
+		{"one-epoch-consolidate", oneEpoch(DispatchConsolidate, false), 3, 3, false},
+		{"one-epoch-consolidate-park", oneEpoch(DispatchConsolidate, true), 3, 3, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -246,6 +223,9 @@ func TestOpenLoopMatchesPerNodeTimelines(t *testing.T) {
 			}
 			if tc.cfg.Overload.Policy != "" && res.SaturatedEpochs == 0 {
 				t.Fatal("overload fixture never saturated")
+			}
+			if tc.parksFirst && res.Epochs[0].Parked == 0 {
+				t.Fatal("no node parked in the first epoch")
 			}
 			rates := referencePlanRates(p)
 			for i := range tc.cfg.Nodes {

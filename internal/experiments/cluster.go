@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/datacenter"
 	"repro/internal/governor"
 	"repro/internal/report"
+	"repro/internal/scenario"
 	"repro/internal/server"
 	"repro/internal/workload"
 )
@@ -54,7 +56,8 @@ type ClusterCostRow struct {
 
 // Cluster runs the fleet study: every cluster dispatch policy over the
 // QPS sweep on Baseline fleets, plus a Baseline-vs-AW fleet pair (under
-// o.ClusterDispatch, default spread) for the measured cost rows.
+// o.ClusterDispatch, default spread) for the measured cost rows. Each
+// fleet is a static fleet run: a constant schedule in one epoch.
 func Cluster(o Options) (ClusterResult, error) {
 	o = o.normalize()
 	out := ClusterResult{
@@ -64,6 +67,12 @@ func Cluster(o Options) (ClusterResult, error) {
 	}
 	if out.CostPolicy == "" {
 		out.CostPolicy = cluster.DispatchSpread
+	}
+	// The cost pair's Baseline fleet is its policy's row entry.
+	costBase := slices.Index(out.Policies, out.CostPolicy)
+	if costBase < 0 {
+		return out, fmt.Errorf("experiments: cluster: unknown dispatch policy %q (known: %v)",
+			out.CostPolicy, out.Policies)
 	}
 	profile := workload.Memcached()
 	node := func(platform governor.Config) server.Config {
@@ -78,21 +87,27 @@ func Cluster(o Options) (ClusterResult, error) {
 		}
 	}
 	fleet := func(platform governor.Config, policy string, rate float64) (cluster.Result, error) {
-		res, err := cluster.Run(cluster.Config{
+		wrap := func(err error) error {
+			return fmt.Errorf("experiments: cluster %s/%s @ %.0f QPS: %w", platform.Name, policy, rate, err)
+		}
+		sched, err := scenario.Constant("steady", rate, o.Duration)
+		if err != nil {
+			return cluster.Result{}, wrap(err)
+		}
+		res, err := cluster.RunScenario(cluster.ScenarioConfig{
 			Nodes:       cluster.Homogeneous(o.Nodes, node(platform)),
-			RateQPS:     rate,
+			Schedule:    sched,
 			Dispatch:    policy,
 			ParkDrained: policy == cluster.DispatchConsolidate,
 		})
 		if err != nil {
-			return cluster.Result{}, fmt.Errorf("experiments: cluster %s/%s @ %.0f QPS: %w",
-				platform.Name, policy, rate, err)
+			return cluster.Result{}, wrap(err)
 		}
-		return res, nil
+		return res.Epochs[0].Fleet, nil
 	}
-	// One flat fan-out over rate x (every policy, then the cost pair),
-	// highest rate first: each rate's row of fleets is the Baseline fleet
-	// under each policy, then the Baseline and AW fleets under the cost
+	// One flat fan-out over rate x (every policy, then the cost pair's AW
+	// fleet), highest rate first: each rate's row of fleets is the
+	// Baseline fleet under each policy, then the AW fleet under the cost
 	// policy.
 	type fleetRun struct {
 		platform governor.Config
@@ -102,7 +117,7 @@ func Cluster(o Options) (ClusterResult, error) {
 	for _, policy := range out.Policies {
 		row = append(row, fleetRun{governor.Baseline, policy})
 	}
-	row = append(row, fleetRun{governor.Baseline, out.CostPolicy}, fleetRun{governor.AW, out.CostPolicy})
+	row = append(row, fleetRun{governor.AW, out.CostPolicy})
 	fleets := make([]cluster.Result, len(o.Rates)*len(row))
 	err := parallelMap(len(fleets), func(t int) (err error) {
 		t = len(fleets) - 1 - t
@@ -118,7 +133,7 @@ func Cluster(o Options) (ClusterResult, error) {
 	for ri, rate := range o.Rates {
 		f := fleets[ri*len(row) : (ri+1)*len(row)]
 		out.Points = append(out.Points, ClusterPoint{RateQPS: rate, Fleets: f[:np:np]})
-		base, aw := f[np], f[np+1]
+		base, aw := f[costBase], f[np]
 		deltaFleet := base.FleetPowerW - aw.FleetPowerW
 		savings, err := model.YearlySavingsMeasuredFleetM(deltaFleet, o.Nodes)
 		if err != nil {

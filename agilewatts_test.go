@@ -240,3 +240,38 @@ func TestExperimentOutputsMentionPaperArtifacts(t *testing.T) {
 		}
 	}
 }
+
+// TestServiceInstanceSnapshotRoundTrip pins the public resumable-run
+// API: an instance restored from a mid-run snapshot resumes exactly
+// where the original stood, so the next interval measures the same.
+func TestServiceInstanceSnapshotRoundTrip(t *testing.T) {
+	ins, err := NewServiceInstance(ServiceRun{Platform: AW, WarmupNS: 5_000_000, Seed: 3}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ins.RunInterval(10_000_000, 200_000); err != nil {
+		t.Fatal(err)
+	}
+	data, err := ins.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreServiceInstance(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ins.RunInterval(10_000_000, 400_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := restored.RunInterval(10_000_000, 400_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Result.CompletedPerSec == 0 {
+		t.Fatal("the interval completed no requests")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored instance diverged:\n got %+v\nwant %+v", got, want)
+	}
+}

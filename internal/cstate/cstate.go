@@ -41,25 +41,6 @@ func (id ID) String() string {
 	return idNames[id]
 }
 
-// ParseID converts a state name ("C6A") to its ID.
-func ParseID(s string) (ID, error) {
-	for i, n := range idNames {
-		if n == s {
-			return ID(i), nil
-		}
-	}
-	return 0, fmt.Errorf("cstate: unknown C-state %q", s)
-}
-
-// AllIDs lists every state shallow-to-deep (including C0).
-func AllIDs() []ID {
-	ids := make([]ID, NumStates)
-	for i := range ids {
-		ids[i] = ID(i)
-	}
-	return ids
-}
-
 // PState is the frequency/voltage operating point associated with a
 // C-state's entry flow.
 type PState int

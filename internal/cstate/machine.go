@@ -151,17 +151,6 @@ func (m *Machine) ExitComplete(now sim.Time) {
 	m.state = C0
 }
 
-// ResidentPower returns the power the core draws right now given the
-// machine phase: resident idle power in PhaseIdle, otherwise active
-// power (transition flows burn roughly active power; Sec. 6.2 attributes
-// them to C0).
-func (m *Machine) ResidentPower(c0Power float64) float64 {
-	if m.phase == PhaseIdle {
-		return m.catalog.ResidentPower(m.state)
-	}
-	return c0Power
-}
-
 // Clone returns an independent copy of the machine mid-flow: same
 // phase, state and pending wake, its own residency tracker, and the
 // shared immutable catalog.

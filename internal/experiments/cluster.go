@@ -9,8 +9,6 @@ import (
 	"repro/internal/governor"
 	"repro/internal/report"
 	"repro/internal/scenario"
-	"repro/internal/server"
-	"repro/internal/workload"
 )
 
 // ClusterSLOP99US is the fleet latency SLO the cluster study reports
@@ -74,18 +72,6 @@ func Cluster(o Options) (ClusterResult, error) {
 		return out, fmt.Errorf("experiments: cluster: unknown dispatch policy %q (known: %v)",
 			out.CostPolicy, out.Policies)
 	}
-	profile := workload.Memcached()
-	node := func(platform governor.Config) server.Config {
-		return server.Config{
-			Platform: platform,
-			Profile:  profile,
-			Duration: o.Duration,
-			Warmup:   o.Warmup,
-			Seed:     o.Seed,
-			Dispatch: o.Dispatch,
-			LoadGen:  o.LoadGen,
-		}
-	}
 	fleet := func(platform governor.Config, policy string, rate float64) (cluster.Result, error) {
 		wrap := func(err error) error {
 			return fmt.Errorf("experiments: cluster %s/%s @ %.0f QPS: %w", platform.Name, policy, rate, err)
@@ -94,8 +80,10 @@ func Cluster(o Options) (ClusterResult, error) {
 		if err != nil {
 			return cluster.Result{}, wrap(err)
 		}
+		node := o.fleetNode(platform)
+		node.Duration = o.Duration
 		res, err := cluster.RunScenario(cluster.ScenarioConfig{
-			Nodes:       cluster.Homogeneous(o.Nodes, node(platform)),
+			Nodes:       cluster.Homogeneous(o.Nodes, node),
 			Schedule:    sched,
 			Dispatch:    policy,
 			ParkDrained: policy == cluster.DispatchConsolidate,

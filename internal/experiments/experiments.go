@@ -196,6 +196,20 @@ func (o Options) serviceConfig(platform governor.Config, profile workload.Profil
 	}
 }
 
+// fleetNode is the node template every fleet study replicates: the
+// Memcached service on platform under o's seed, warm-up, dispatch
+// policy and load generator. Each epoch brings its own window and rate.
+func (o Options) fleetNode(platform governor.Config) server.Config {
+	return server.Config{
+		Platform: platform,
+		Profile:  workload.Memcached(),
+		Warmup:   o.Warmup,
+		Seed:     o.Seed,
+		Dispatch: o.Dispatch,
+		LoadGen:  o.LoadGen,
+	}
+}
+
 // run executes one simulation, memoized through the shared runner.
 func run(cfg server.Config) (server.Result, error) {
 	res, err := runner.Default().Run(cfg)

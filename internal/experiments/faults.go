@@ -7,9 +7,7 @@ import (
 	"repro/internal/governor"
 	"repro/internal/report"
 	"repro/internal/scenario"
-	"repro/internal/server"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // FaultControllerRun is one controller's cell of the fault study: the
@@ -85,18 +83,9 @@ func Faults(o Options) (FaultsExpResult, error) {
 	if err != nil {
 		return out, err
 	}
-	profile := workload.Memcached()
 	fleet := func(ctrl string, faults cluster.FaultSpec) (cluster.ScenarioResult, error) {
-		node := server.Config{
-			Platform: governor.AW,
-			Profile:  profile,
-			Warmup:   o.Warmup,
-			Seed:     o.Seed,
-			Dispatch: o.Dispatch,
-			LoadGen:  o.LoadGen,
-		}
 		res, err := cluster.RunScenario(cluster.ScenarioConfig{
-			Nodes:       cluster.Homogeneous(o.Nodes, node),
+			Nodes:       cluster.Homogeneous(o.Nodes, o.fleetNode(governor.AW)),
 			Schedule:    sched,
 			Epoch:       epoch,
 			Dispatch:    cluster.DispatchConsolidate,

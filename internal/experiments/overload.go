@@ -7,9 +7,7 @@ import (
 	"repro/internal/governor"
 	"repro/internal/report"
 	"repro/internal/scenario"
-	"repro/internal/server"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // OverloadPolicyRun is one admission policy's cell of the overload
@@ -66,16 +64,7 @@ func Overload(o Options) (OverloadExpResult, error) {
 	if maxUtil == 0 {
 		maxUtil = 0.85
 	}
-	profile := workload.Memcached()
-	node := server.Config{
-		Platform: governor.AW,
-		Profile:  profile,
-		Warmup:   o.Warmup,
-		Seed:     o.Seed,
-		Dispatch: o.Dispatch,
-		LoadGen:  o.LoadGen,
-	}
-	nodes := cluster.Homogeneous(o.Nodes, node)
+	nodes := cluster.Homogeneous(o.Nodes, o.fleetNode(governor.AW))
 	capacity := cluster.AdmissionCapacityQPS(nodes, maxUtil)
 	out := OverloadExpResult{
 		Nodes:       o.Nodes,

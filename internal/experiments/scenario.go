@@ -8,9 +8,7 @@ import (
 	"repro/internal/governor"
 	"repro/internal/report"
 	"repro/internal/scenario"
-	"repro/internal/server"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // scenarioBaseQPSPerNode is the per-node base rate the named scenarios
@@ -90,24 +88,15 @@ func Scenario(o Options) (ScenarioExpResult, error) {
 		Total:    total,
 		Dispatch: dispatch,
 	}
-	profile := workload.Memcached()
 	fleet := func(platform governor.Config) (cluster.ScenarioResult, error) {
-		node := server.Config{
-			Platform: platform,
-			Profile:  profile,
-			Warmup:   o.Warmup,
-			Seed:     o.Seed,
-			Dispatch: o.Dispatch,
-			LoadGen:  o.LoadGen,
-		}
-		nodes := cluster.Homogeneous(o.Nodes, node)
+		nodes := cluster.Homogeneous(o.Nodes, o.fleetNode(platform))
 		if o.Replicas > 0 {
 			// Replicated mode trades per-node seed independence for
 			// class collapse: every node shares the template seed, the
 			// fleet folds into one class per timeline, and the replicas
 			// supply the variance the shared seed gave up.
 			for i := range nodes {
-				nodes[i].Seed = node.Seed
+				nodes[i].Seed = o.Seed
 			}
 		}
 		res, err := cluster.RunScenario(cluster.ScenarioConfig{
@@ -306,22 +295,13 @@ func ScenarioControllers(o Options) (ScenarioControllerResult, error) {
 		Total:    total,
 		Replicas: replicas,
 	}
-	profile := workload.Memcached()
 	model := datacenter.NewCostModel()
 	fleet := func(platform governor.Config, sched *scenario.Schedule, ctrl string) (cluster.ScenarioResult, error) {
-		node := server.Config{
-			Platform: platform,
-			Profile:  profile,
-			Warmup:   o.Warmup,
-			Seed:     o.Seed,
-			Dispatch: o.Dispatch,
-			LoadGen:  o.LoadGen,
-		}
-		nodes := cluster.Homogeneous(o.Nodes, node)
+		nodes := cluster.Homogeneous(o.Nodes, o.fleetNode(platform))
 		// Shared seeds collapse identical timelines into one class; the
 		// replicas supply the variance the shared seed gave up.
 		for i := range nodes {
-			nodes[i].Seed = node.Seed
+			nodes[i].Seed = o.Seed
 		}
 		res, err := cluster.RunScenario(cluster.ScenarioConfig{
 			Nodes:        nodes,

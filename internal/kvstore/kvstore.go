@@ -247,15 +247,6 @@ func (s *Store) Len() int { return s.lru.Len() }
 // Bytes returns the cached byte total.
 func (s *Store) Bytes() int { return s.bytes }
 
-// HitRatio returns GET hits / GET lookups so far.
-func (s *Store) HitRatio() float64 {
-	total := s.hits + s.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.hits) / float64(total)
-}
-
 // Stats returns cumulative counters.
 func (s *Store) Stats() (hits, misses, sets uint64) {
 	return s.hits, s.misses, s.sets

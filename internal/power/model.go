@@ -1,7 +1,7 @@
 // Package power implements the paper's analytical CPU-core power models:
-// the motivation upper bound (Eq. 1), the baseline average-power model
-// (Eq. 2), the AgileWatts model (Eq. 3), the Turbo-enabled savings model
-// (Eq. 4), leakage technology scaling, and the model-validation
+// the motivation upper bound (Eq. 1), the residency-weighted average
+// power of the baseline and AgileWatts state sets (Eqs. 2-3), the
+// Turbo-enabled savings model (Eq. 4), and the model-validation
 // methodology of Sec. 6.3.
 package power
 
@@ -80,88 +80,4 @@ func TurboSavings(rc1, rc1e, avgBaseline float64, p Vector) float64 {
 	}
 	savings := rc1*(p[cstate.C1]-p[cstate.C6A]) + rc1e*(p[cstate.C1E]-p[cstate.C6AE])
 	return savings / avgBaseline * 100
-}
-
-// AWInput describes a measured baseline run to be transformed by the AW
-// model (Sec. 6.2 "Modeling the AW CPU Core").
-type AWInput struct {
-	// Baseline residency fractions (C0/C1/C1E/C6 populated).
-	Baseline Residencies
-
-	// TransitionsPerSecond is the rate of C1+C1E entries observed in the
-	// baseline, each of which pays the extra C6A transition latency under
-	// AW.
-	TransitionsPerSecond float64
-
-	// ExtraTransitionLatencySec is the additional per-transition latency
-	// of C6A/C6AE over C1/C1E hardware transitions (~100 ns).
-	ExtraTransitionLatencySec float64
-
-	// FreqScalability is the workload's performance change per unit
-	// frequency change (Sec. 6.2 footnote 8).
-	FreqScalability float64
-
-	// FreqLossFraction is the frequency degradation from the UFPG power
-	// gates (Sec. 5.1.1: ~1 %).
-	FreqLossFraction float64
-}
-
-// AWResult is the transformed AW prediction.
-type AWResult struct {
-	// Residencies after replacing C1->C6A and C1E->C6AE and scaling for
-	// the AW performance overheads.
-	Residencies Residencies
-	// PerfDegradation is the modeled relative increase in busy (C0) time.
-	PerfDegradation float64
-}
-
-// ApplyAW performs the paper's three modeling steps: (1) scale C-state
-// residency for the power-gate frequency loss (weighted by workload
-// frequency scalability) and the extra C6A transition latency; (2) move
-// C1/C1E residency to C6A/C6AE; (3) leave C0/C6 in place. The result
-// feeds AvgPower with the AW power vector.
-func ApplyAW(in AWInput) AWResult {
-	perfLoss := in.FreqScalability * in.FreqLossFraction
-	extraActive := in.TransitionsPerSecond * in.ExtraTransitionLatencySec
-
-	r := in.Baseline
-	// Busy time grows by the frequency-loss-driven slowdown plus the
-	// per-transition latency (expressed as a fraction of total time).
-	grow := r[cstate.C0]*perfLoss + extraActive
-	idle := r[cstate.C1] + r[cstate.C1E] + r[cstate.C6]
-	if grow > idle {
-		grow = idle
-	}
-	var out Residencies
-	out[cstate.C0] = r[cstate.C0] + grow
-	// The growth eats proportionally into the idle states.
-	shrink := 1.0
-	if idle > 0 {
-		shrink = (idle - grow) / idle
-	}
-	out[cstate.C6A] = r[cstate.C1] * shrink
-	out[cstate.C6AE] = r[cstate.C1E] * shrink
-	out[cstate.C6] = r[cstate.C6] * shrink
-	return AWResult{
-		Residencies:     out,
-		PerfDegradation: perfLoss + extraActiveFraction(extraActive, r[cstate.C0]),
-	}
-}
-
-// extraActiveFraction expresses the transition-latency overhead relative
-// to busy time, which is how it shows up as request-latency degradation.
-func extraActiveFraction(extraActive, busy float64) float64 {
-	if busy <= 0 {
-		return 0
-	}
-	return extraActive / busy
-}
-
-// SavingsPercent is a helper returning (base-new)/base * 100, guarded
-// against a non-positive base.
-func SavingsPercent(base, new float64) float64 {
-	if base <= 0 {
-		return 0
-	}
-	return (base - new) / base * 100
 }

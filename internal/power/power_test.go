@@ -3,7 +3,6 @@ package power
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/cstate"
 )
@@ -81,155 +80,6 @@ func TestTurboSavings(t *testing.T) {
 	}
 }
 
-func TestApplyAWMovesResidency(t *testing.T) {
-	var r Residencies
-	r[cstate.C0] = 0.3
-	r[cstate.C1] = 0.5
-	r[cstate.C1E] = 0.15
-	r[cstate.C6] = 0.05
-	out := ApplyAW(AWInput{
-		Baseline:                  r,
-		TransitionsPerSecond:      10000,
-		ExtraTransitionLatencySec: 100e-9,
-		FreqScalability:           0.45,
-		FreqLossFraction:          0.01,
-	})
-	if err := out.Residencies.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if out.Residencies[cstate.C1] != 0 || out.Residencies[cstate.C1E] != 0 {
-		t.Fatal("C1/C1E residency must be zero under AW")
-	}
-	if out.Residencies[cstate.C6A] <= 0.45 || out.Residencies[cstate.C6A] >= 0.5 {
-		t.Fatalf("C6A residency = %v, want slightly under 0.5", out.Residencies[cstate.C6A])
-	}
-	if out.Residencies[cstate.C0] <= r[cstate.C0] {
-		t.Fatal("C0 residency must grow under AW overheads")
-	}
-	if out.PerfDegradation <= 0 || out.PerfDegradation > 0.02 {
-		t.Fatalf("perf degradation = %v, want ~0.5%%", out.PerfDegradation)
-	}
-}
-
-func TestApplyAWReducesPower(t *testing.T) {
-	var r Residencies
-	r[cstate.C0] = 0.2
-	r[cstate.C1] = 0.8
-	out := ApplyAW(AWInput{Baseline: r, FreqScalability: 0.45, FreqLossFraction: 0.01})
-	p := vec()
-	base := AvgPower(r, p)
-	aw := AvgPower(out.Residencies, p)
-	if aw >= base {
-		t.Fatalf("AW power %v not below baseline %v", aw, base)
-	}
-	// Expected ~(0.2*4 + 0.8*0.3) vs (0.2*4 + 0.8*1.44): ~38% saving.
-	saving := SavingsPercent(base, aw)
-	if saving < 30 || saving > 60 {
-		t.Fatalf("saving = %.1f%%, want 30-60%%", saving)
-	}
-}
-
-func TestApplyAWClampsGrowth(t *testing.T) {
-	var r Residencies
-	r[cstate.C0] = 0.999
-	r[cstate.C1] = 0.001
-	out := ApplyAW(AWInput{
-		Baseline:                  r,
-		TransitionsPerSecond:      1e9, // absurd: growth exceeds idle
-		ExtraTransitionLatencySec: 1e-6,
-		FreqScalability:           1,
-		FreqLossFraction:          0.5,
-	})
-	if err := out.Residencies.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if out.Residencies[cstate.C6A] < 0 {
-		t.Fatal("negative residency after clamp")
-	}
-}
-
-// Property: ApplyAW preserves the distribution property for any valid
-// baseline split.
-func TestPropertyApplyAWDistribution(t *testing.T) {
-	f := func(a, b, c uint16, trans uint16) bool {
-		tot := float64(a) + float64(b) + float64(c) + 1
-		var r Residencies
-		r[cstate.C0] = float64(a) / tot
-		r[cstate.C1] = float64(b) / tot
-		r[cstate.C1E] = float64(c) / tot
-		r[cstate.C6] = 1 - r[cstate.C0] - r[cstate.C1] - r[cstate.C1E]
-		out := ApplyAW(AWInput{
-			Baseline:                  r,
-			TransitionsPerSecond:      float64(trans),
-			ExtraTransitionLatencySec: 100e-9,
-			FreqScalability:           0.45,
-			FreqLossFraction:          0.01,
-		})
-		return out.Residencies.Validate() == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: AW average power never exceeds baseline when overheads are
-// zero (pure state substitution).
-func TestPropertyAWNeverWorseWithoutOverheads(t *testing.T) {
-	p := vec()
-	f := func(a, b, c uint16) bool {
-		tot := float64(a) + float64(b) + float64(c) + 1
-		var r Residencies
-		r[cstate.C0] = float64(a) / tot
-		r[cstate.C1] = float64(b) / tot
-		r[cstate.C1E] = float64(c) / tot
-		r[cstate.C6] = 1 - r[cstate.C0] - r[cstate.C1] - r[cstate.C1E]
-		out := ApplyAW(AWInput{Baseline: r})
-		return AvgPower(out.Residencies, p) <= AvgPower(r, p)+1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLeakageScale(t *testing.T) {
-	if got := LeakageScale(0.7, 1.0); got != 0.7 {
-		t.Fatalf("LeakageScale = %v", got)
-	}
-}
-
-func TestCapacityScale(t *testing.T) {
-	if got := CapacityScale(1100, 2500); math.Abs(got-0.44) > 1e-12 {
-		t.Fatalf("CapacityScale = %v", got)
-	}
-	if CapacityScale(1, 0) != 0 {
-		t.Fatal("zero reference must give 0")
-	}
-}
-
-func TestLVREfficiency(t *testing.T) {
-	if e := LVREfficiency(0.5, 1.0); e != 0.5 {
-		t.Fatalf("efficiency = %v", e)
-	}
-	if e := LVREfficiency(1.2, 1.0); e != 1 {
-		t.Fatal("efficiency must clamp at 1")
-	}
-	if LVREfficiency(1, 0) != 0 || LVREfficiency(0, 1) != 0 {
-		t.Fatal("degenerate voltages must give 0")
-	}
-}
-
-func TestSleepLeakageAtVoltage(t *testing.T) {
-	// Lowering input from 1.0 V to 0.7 V with 0.4 V retention output:
-	// drop goes from 0.6 to 0.3 -> leakage halves.
-	got := SleepLeakageAtVoltage(0.055, 0.4, 1.0, 0.7)
-	if math.Abs(got-0.0275) > 1e-9 {
-		t.Fatalf("scaled leakage = %v", got)
-	}
-	if SleepLeakageAtVoltage(0.05, 1.0, 0.5, 0.7) != 0.05 {
-		t.Fatal("vRef <= vRet must return input")
-	}
-}
-
 func TestValidationAccuracy(t *testing.T) {
 	results := Validate(cstate.Skylake(), 2022)
 	if len(results) != 4 {
@@ -269,14 +119,5 @@ func TestValidationDeterministic(t *testing.T) {
 		if a[i].AccuracyPercent != b[i].AccuracyPercent {
 			t.Fatal("validation not deterministic for same seed")
 		}
-	}
-}
-
-func TestSavingsPercent(t *testing.T) {
-	if SavingsPercent(2, 1) != 50 {
-		t.Fatal("50% case wrong")
-	}
-	if SavingsPercent(0, 1) != 0 {
-		t.Fatal("zero base must give 0")
 	}
 }

@@ -104,35 +104,8 @@ func pad(s string, w int) string {
 	return s + strings.Repeat(" ", w-len(s))
 }
 
-// WriteCSV emits the table as RFC-4180-ish CSV.
-func (t *Table) WriteCSV(w io.Writer) error {
-	write := func(cells []string) error {
-		quoted := make([]string, len(cells))
-		for i, c := range cells {
-			if strings.ContainsAny(c, ",\"\n") {
-				c = "\"" + strings.ReplaceAll(c, "\"", "\"\"") + "\""
-			}
-			quoted[i] = c
-		}
-		_, err := fmt.Fprintln(w, strings.Join(quoted, ","))
-		return err
-	}
-	if err := write(t.Headers); err != nil {
-		return err
-	}
-	for _, row := range t.Rows {
-		if err := write(row); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Pct formats a fraction as a percentage string.
 func Pct(f float64) string { return fmt.Sprintf("%.1f%%", f*100) }
-
-// MW formats watts as a milliwatt string.
-func MW(w float64) string { return fmt.Sprintf("%.0fmW", w*1000) }
 
 // MWRange formats a [lo,hi] watt range in milliwatts; point values render
 // as a single number.

@@ -51,32 +51,9 @@ func TestAddRowFormatting(t *testing.T) {
 	}
 }
 
-func TestWriteCSV(t *testing.T) {
-	tbl := &Table{Headers: []string{"a", "b"}}
-	tbl.AddRow("plain", `has"quote`)
-	tbl.AddRow("with,comma", "ok")
-	var buf bytes.Buffer
-	if err := tbl.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.HasPrefix(out, "a,b\n") {
-		t.Errorf("bad header: %q", out)
-	}
-	if !strings.Contains(out, `"has""quote"`) {
-		t.Errorf("quote not escaped: %q", out)
-	}
-	if !strings.Contains(out, `"with,comma"`) {
-		t.Errorf("comma not quoted: %q", out)
-	}
-}
-
 func TestFormatters(t *testing.T) {
 	if Pct(0.125) != "12.5%" {
 		t.Error(Pct(0.125))
-	}
-	if MW(0.055) != "55mW" {
-		t.Error(MW(0.055))
 	}
 	if MWRange([2]float64{0.03, 0.05}) != "30-50" {
 		t.Error(MWRange([2]float64{0.03, 0.05}))

@@ -5,9 +5,9 @@
 // one simulation instead of four.
 //
 // Memoization is sound because a simulation is a pure function of its
-// Config: all randomness derives from Config.Seed, and Key only reports a
-// config cacheable when every behavioral input is captured by value
-// (profiles backed by live mutable state and custom catalogs are
+// Config: all randomness derives from Config.Seed, and AppendKey only
+// reports a config cacheable when every behavioral input is captured by
+// value (profiles backed by live mutable state and custom catalogs are
 // executed uncached). Cached Results are shared between callers, so
 // experiments must treat them as read-only — which they do, being pure
 // renderers.
@@ -25,23 +25,6 @@ import (
 	"repro/internal/workload"
 )
 
-// cacheShards is the number of independently locked cache segments. The
-// memoization map doubles as the single-flight registry, so under
-// parallel fleet fan-out every node lookup used to serialize on one
-// mutex; FNV-sharding the key space makes concurrent lookups of
-// different configs contention-free. A power of two keeps the shard
-// pick a mask instead of a modulo.
-const cacheShards = 16
-
-// cacheShard is one lock + map segment of a shardedCache.
-type cacheShard[V any] struct {
-	mu    sync.Mutex
-	cache map[string]*flight[V]
-	// Pad the 16-byte mutex+map pair to a full 64-byte cache line so
-	// per-shard mutexes do not false-share under fan-out.
-	_ [48]byte
-}
-
 // flight is one single-flight cache slot: the first requester executes,
 // duplicates block on the Once and share the outcome.
 type flight[V any] struct {
@@ -50,35 +33,27 @@ type flight[V any] struct {
 	err  error
 }
 
-// shardedCache is the memoization + single-flight machinery shared by
-// Run (server.Result values) and RunTimeline ([]server.IntervalResult
-// values): an FNV-sharded map of Once-guarded slots, so concurrent
-// lookups of different keys never contend on one mutex and identical
-// keys execute exactly once.
-type shardedCache[V any] struct {
-	shards [cacheShards]cacheShard[V]
-}
-
-func newShardedCache[V any]() *shardedCache[V] {
-	c := &shardedCache[V]{}
-	for i := range c.shards {
-		c.shards[i].cache = make(map[string]*flight[V])
-	}
-	return c
+// memo is the memoization + single-flight machinery shared by Run
+// (server.Result values) and RunTimeline ([]server.IntervalResult
+// values): one mutex-guarded map of Once-guarded slots, so identical
+// keys execute exactly once. The lock covers only the map lookup, never
+// a simulation.
+type memo[V any] struct {
+	mu    sync.Mutex
+	slots map[string]*flight[V]
 }
 
 // do returns the memoized value for key, executing fn exactly once per
 // key; hit reports whether a slot already existed. Only a miss copies
 // key into a string.
-func (c *shardedCache[V]) do(key []byte, fn func() (V, error)) (v V, err error, hit bool) {
-	s := &c.shards[shardIndex(key)]
-	s.mu.Lock()
-	e, hit := s.cache[string(key)]
+func (m *memo[V]) do(key []byte, fn func() (V, error)) (v V, err error, hit bool) {
+	m.mu.Lock()
+	e, hit := m.slots[string(key)]
 	if !hit {
 		e = &flight[V]{}
-		s.cache[string(key)] = e
+		m.slots[string(key)] = e
 	}
-	s.mu.Unlock()
+	m.mu.Unlock()
 	e.once.Do(func() { e.val, e.err = fn() })
 	return e.val, e.err, hit
 }
@@ -91,8 +66,8 @@ type Runner struct {
 	// worker.
 	helpers chan struct{}
 
-	cache  *shardedCache[server.Result]
-	tcache *shardedCache[[]server.IntervalResult]
+	cache  memo[server.Result]
+	tcache memo[[]server.IntervalResult]
 
 	hits, misses atomic.Uint64
 
@@ -120,21 +95,10 @@ func New(parallelism int) *Runner {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
-	return &Runner{
-		helpers: make(chan struct{}, parallelism-1),
-		cache:   newShardedCache[server.Result](),
-		tcache:  newShardedCache[[]server.IntervalResult](),
-	}
-}
-
-// shardIndex maps a memoization key to its cache-segment index (FNV-1a).
-func shardIndex(key []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return h & (cacheShards - 1)
+	r := &Runner{helpers: make(chan struct{}, parallelism-1)}
+	r.cache.slots = make(map[string]*flight[server.Result])
+	r.tcache.slots = make(map[string]*flight[[]server.IntervalResult])
+	return r
 }
 
 var defaultRunner = New(0)
@@ -204,12 +168,6 @@ func (k *KeyEncoder) AppendKey(buf []byte, cfg *server.Config) ([]byte, bool) {
 		k.prof, k.fp = cfg.Profile, fp
 	}
 	return appendKey(buf, cfg, k.fp)
-}
-
-// Key is AppendKey into a fresh string.
-func Key(cfg server.Config) (string, bool) {
-	key, ok := AppendKey(nil, cfg)
-	return string(key), ok
 }
 
 // Run executes (or returns the memoized result of) one simulation.

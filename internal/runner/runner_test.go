@@ -27,25 +27,31 @@ func quickCfg() server.Config {
 	}
 }
 
+// stringKey is AppendKey into a fresh string.
+func stringKey(cfg server.Config) (string, bool) {
+	key, ok := AppendKey(nil, cfg)
+	return string(key), ok
+}
+
 func TestKeyCacheability(t *testing.T) {
 	cfg := quickCfg()
-	k1, ok := Key(cfg)
+	k1, ok := stringKey(cfg)
 	if !ok {
 		t.Fatal("plain config not cacheable")
 	}
-	k2, _ := Key(cfg)
+	k2, _ := stringKey(cfg)
 	if k1 != k2 {
 		t.Fatal("key not deterministic")
 	}
 	other := cfg
 	other.Seed = 8
-	k3, _ := Key(other)
+	k3, _ := stringKey(other)
 	if k3 == k1 {
 		t.Fatal("different seeds share a key")
 	}
 	other = cfg
 	other.Dispatch = server.DispatchPacked
-	if k, _ := Key(other); k == k1 {
+	if k, _ := stringKey(other); k == k1 {
 		t.Fatal("different dispatch policies share a key")
 	}
 	// Zero-value and explicitly-default knobs normalize to one key, so
@@ -53,13 +59,13 @@ func TestKeyCacheability(t *testing.T) {
 	explicit := cfg
 	explicit.Dispatch = server.DispatchRoundRobin
 	explicit.LoadGen = server.LoadOpenLoop
-	if k, _ := Key(explicit); k != k1 {
+	if k, _ := stringKey(explicit); k != k1 {
 		t.Fatal("explicit defaults keyed differently from zero values")
 	}
 
 	cat := cfg
 	cat.Catalog = cstate.Skylake()
-	if _, ok := Key(cat); ok {
+	if _, ok := stringKey(cat); ok {
 		t.Fatal("custom-catalog config reported cacheable")
 	}
 	etc, err := workload.MemcachedETC(1)
@@ -68,7 +74,7 @@ func TestKeyCacheability(t *testing.T) {
 	}
 	live := cfg
 	live.Profile = etc
-	if _, ok := Key(live); ok {
+	if _, ok := stringKey(live); ok {
 		t.Fatal("live-kvstore profile reported cacheable")
 	}
 }

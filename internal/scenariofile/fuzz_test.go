@@ -10,7 +10,7 @@ import (
 // FuzzParseRoundTrip drives arbitrary bytes through the strict decoder
 // and asserts its two invariants: rejected inputs are rejected cleanly
 // (an error, never a panic), and every accepted document survives the
-// Encode/Parse round trip with the identical value — the property that
+// encode/Parse round trip with the identical value — the property that
 // makes the canonical encoding safe to re-load.
 func FuzzParseRoundTrip(f *testing.F) {
 	paths, _ := filepath.Glob(filepath.Join("..", "..", "testdata", "scenarios", "*.json"))
@@ -28,7 +28,7 @@ func FuzzParseRoundTrip(f *testing.F) {
 		if err != nil {
 			return // rejected cleanly
 		}
-		enc, err := Encode(parsed)
+		enc, err := encode(parsed)
 		if err != nil {
 			t.Fatalf("accepted document failed to encode: %v", err)
 		}

@@ -279,14 +279,3 @@ func LoadAll(path string) ([]File, error) {
 	}
 	return fs, nil
 }
-
-// Encode renders the file back to canonical indented JSON. A parsed
-// file re-encodes to a document Parse accepts with the identical value
-// — the round-trip property the decoder fuzzer pins.
-func Encode(f File) ([]byte, error) {
-	data, err := json.MarshalIndent(f, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("scenariofile: %w", err)
-	}
-	return append(data, '\n'), nil
-}

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"repro/internal/snapbuf"
 )
@@ -46,9 +45,6 @@ const (
 
 // MaxTime is the largest representable simulation time.
 const MaxTime Time = math.MaxInt64
-
-// Duration converts a standard library duration to simulation ticks.
-func Duration(d time.Duration) Time { return Time(d.Nanoseconds()) }
 
 // Seconds reports t as floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }

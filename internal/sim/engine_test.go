@@ -155,8 +155,8 @@ func TestAdvanceTo(t *testing.T) {
 }
 
 func TestDurationConversion(t *testing.T) {
-	if Duration(time.Microsecond) != Microsecond {
-		t.Fatal("Duration(1us) != Microsecond")
+	if Microsecond != Time(time.Microsecond.Nanoseconds()) {
+		t.Fatal("Microsecond is not 1us of ticks")
 	}
 	if got := (133 * Microsecond).Micros(); got != 133 {
 		t.Fatalf("Micros = %v, want 133", got)

@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"repro/internal/cstate"
-	"repro/internal/sim"
 )
 
 // Analysis holds the Sec. 7.5 bounding computation for a 100 % idle core
@@ -41,23 +40,9 @@ func (a Analysis) SavingsNoSnoops() float64 {
 	return (a.C1IdleW - a.C6AIdleW) / a.C1IdleW * 100
 }
 
-// SavingsSaturatedSnoops returns the saving when the core services snoops
-// continuously (paper: (1.49-0.47)/1.49 = 68 %).
-func (a Analysis) SavingsSaturatedSnoops() float64 {
-	if a.C1SnoopW <= 0 {
-		return 0
-	}
-	return (a.C1SnoopW - a.C6ASnoopW) / a.C1SnoopW * 100
-}
-
-// WorstCaseLoss returns the savings opportunity lost to snoop traffic in
-// the worst case (paper: ~11 percentage points).
-func (a Analysis) WorstCaseLoss() float64 {
-	return a.SavingsNoSnoops() - a.SavingsSaturatedSnoops()
-}
-
 // SavingsAtDuty interpolates the saving at a snoop duty cycle in [0,1]
-// (fraction of idle time the cache domain is servicing snoops).
+// (fraction of idle time the cache domain is servicing snoops). At duty 1
+// the core services snoops continuously (paper: (1.49-0.47)/1.49 = 68 %).
 func (a Analysis) SavingsAtDuty(duty float64) float64 {
 	if duty < 0 {
 		duty = 0
@@ -73,19 +58,6 @@ func (a Analysis) SavingsAtDuty(duty float64) float64 {
 	return (c1 - c6a) / c1 * 100
 }
 
-// DutyCycle converts a snoop rate and per-snoop cache-active time into a
-// duty cycle.
-func DutyCycle(ratePerSec float64, serviceTime sim.Time) float64 {
-	d := ratePerSec * float64(serviceTime) / 1e9
-	if d < 0 {
-		return 0
-	}
-	if d > 1 {
-		return 1
-	}
-	return d
-}
-
 // Row is one output line of the snoop-impact sweep.
 type Row struct {
 	Duty            float64
@@ -95,7 +67,9 @@ type Row struct {
 	LossVsNoSnoopPP float64
 }
 
-// Sweep evaluates savings across duty cycles.
+// Sweep evaluates savings across duty cycles. LossVsNoSnoopPP at duty 1
+// is the worst-case savings opportunity lost to snoop traffic (paper:
+// ~11 percentage points).
 func (a Analysis) Sweep(duties []float64) []Row {
 	base := a.SavingsNoSnoops()
 	out := make([]Row, 0, len(duties))

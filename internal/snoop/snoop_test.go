@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/cstate"
-	"repro/internal/sim"
 )
 
 func TestSavingsBoundsMatchPaper(t *testing.T) {
@@ -15,10 +14,10 @@ func TestSavingsBoundsMatchPaper(t *testing.T) {
 	if s := a.SavingsNoSnoops(); math.Abs(s-79.2) > 0.5 {
 		t.Errorf("no-snoop savings = %.1f%%, want ~79%%", s)
 	}
-	if s := a.SavingsSaturatedSnoops(); math.Abs(s-68.5) > 0.8 {
+	if s := a.SavingsAtDuty(1); math.Abs(s-68.5) > 0.8 {
 		t.Errorf("saturated savings = %.1f%%, want ~68%%", s)
 	}
-	if l := a.WorstCaseLoss(); l < 9 || l > 13 {
+	if l := a.Sweep([]float64{1})[0].LossVsNoSnoopPP; l < 9 || l > 13 {
 		t.Errorf("worst-case loss = %.1fpp, want ~11pp", l)
 	}
 }
@@ -28,25 +27,12 @@ func TestSavingsAtDutyEndpoints(t *testing.T) {
 	if math.Abs(a.SavingsAtDuty(0)-a.SavingsNoSnoops()) > 1e-9 {
 		t.Error("duty 0 != no-snoop savings")
 	}
-	if math.Abs(a.SavingsAtDuty(1)-a.SavingsSaturatedSnoops()) > 1e-9 {
+	if want := (a.C1SnoopW - a.C6ASnoopW) / a.C1SnoopW * 100; math.Abs(a.SavingsAtDuty(1)-want) > 1e-9 {
 		t.Error("duty 1 != saturated savings")
 	}
 	// Clamping.
 	if a.SavingsAtDuty(-1) != a.SavingsAtDuty(0) || a.SavingsAtDuty(2) != a.SavingsAtDuty(1) {
 		t.Error("duty not clamped")
-	}
-}
-
-func TestDutyCycle(t *testing.T) {
-	// 100K snoops/s at 1us each = 10% duty.
-	if d := DutyCycle(100e3, sim.Microsecond); math.Abs(d-0.1) > 1e-12 {
-		t.Fatalf("duty = %v", d)
-	}
-	if DutyCycle(1e12, sim.Microsecond) != 1 {
-		t.Fatal("duty not capped at 1")
-	}
-	if DutyCycle(-1, sim.Microsecond) != 0 {
-		t.Fatal("negative rate not clamped")
 	}
 }
 
@@ -86,7 +72,7 @@ func TestPropertySavingsBounded(t *testing.T) {
 	f := func(d float64) bool {
 		d = math.Mod(math.Abs(d), 1)
 		s := a.SavingsAtDuty(d)
-		return s <= a.SavingsNoSnoops()+1e-9 && s >= a.SavingsSaturatedSnoops()-1e-9
+		return s <= a.SavingsNoSnoops()+1e-9 && s >= a.SavingsAtDuty(1)-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -95,7 +81,7 @@ func TestPropertySavingsBounded(t *testing.T) {
 
 func TestZeroPowerGuards(t *testing.T) {
 	var a Analysis
-	if a.SavingsNoSnoops() != 0 || a.SavingsSaturatedSnoops() != 0 || a.SavingsAtDuty(0.5) != 0 {
+	if a.SavingsNoSnoops() != 0 || a.SavingsAtDuty(1) != 0 || a.SavingsAtDuty(0.5) != 0 {
 		t.Fatal("zero-power analysis must return 0")
 	}
 }

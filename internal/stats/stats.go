@@ -174,8 +174,8 @@ func (h *Histogram) Clone() *Histogram {
 
 // AppendState appends the histogram's samples: the nonzero buckets in
 // index order as (index, count) pairs, then the sample count, sum, max
-// and min. The bucket array's length is not state: quantiles and merges
-// skip empty buckets, and Add grows the array on demand.
+// and min. The bucket array's length is not state: quantiles skip empty
+// buckets, and Add grows the array on demand.
 func (h *Histogram) AppendState(e *snapbuf.Encoder) {
 	nonzero := 0
 	for _, c := range h.counts {
@@ -243,38 +243,6 @@ func (h *Histogram) DecodeState(d *snapbuf.Decoder) {
 		h.counts[b.i] = b.c
 	}
 	h.n, h.sum, h.max, h.min = n, sum, max, min
-}
-
-// Merge folds every sample recorded in o into h, bucket for bucket.
-// Both histograms must share a bucket geometry (they do whenever both
-// came from NewHistogram). Merging an empty or nil histogram is a no-op.
-func (h *Histogram) Merge(o *Histogram) { h.MergeScaled(o, 1) }
-
-// MergeScaled folds o into h `times` times — the weighted-merge
-// primitive behind class-collapsed fleet aggregation, where one
-// representative distribution stands for `times` identical nodes.
-// Equivalent to calling Merge(o) in a loop, at O(buckets) cost.
-func (h *Histogram) MergeScaled(o *Histogram, times uint64) {
-	if o == nil || o.n == 0 || times == 0 {
-		return
-	}
-	if h.subBuckets != o.subBuckets {
-		panic("stats: merging histograms with different bucket geometries")
-	}
-	if len(o.counts) > len(h.counts) {
-		h.growTo(len(o.counts) - 1)
-	}
-	for i, c := range o.counts {
-		h.counts[i] += c * times
-	}
-	h.n += o.n * times
-	h.sum += o.sum * float64(times)
-	if o.max > h.max {
-		h.max = o.max
-	}
-	if o.min < h.min {
-		h.min = o.min
-	}
 }
 
 // Count returns the number of recorded samples.
@@ -364,41 +332,6 @@ func (h *Histogram) Quantiles(qs ...float64) []float64 {
 	}
 	for ; k < len(qs); k++ {
 		out[k] = h.Max()
-	}
-	return out
-}
-
-// CDFPoint is one point of a cumulative distribution.
-type CDFPoint struct {
-	Value      float64
-	Cumulative float64 // fraction of samples <= Value
-}
-
-// CDF returns up to points CDF samples spanning the recorded
-// distribution, suitable for plotting latency curves.
-func (h *Histogram) CDF(points int) []CDFPoint {
-	if h.n == 0 || points <= 0 {
-		return nil
-	}
-	out := make([]CDFPoint, 0, points)
-	var cum uint64
-	step := float64(h.n) / float64(points)
-	next := step
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		cum += c
-		for float64(cum) >= next && len(out) < points {
-			out = append(out, CDFPoint{
-				Value:      math.Min(math.Max(h.valueOf(i), h.min), h.max),
-				Cumulative: float64(cum) / float64(h.n),
-			})
-			next += step
-		}
-	}
-	if len(out) == 0 || out[len(out)-1].Cumulative < 1 {
-		out = append(out, CDFPoint{Value: h.max, Cumulative: 1})
 	}
 	return out
 }
@@ -779,16 +712,4 @@ func MeanCI95(xs []float64) (mean, half float64) {
 	}
 	half = TCrit95(int(n-1)) * math.Sqrt(s.Variance()/float64(n))
 	return mean, half
-}
-
-// MeanOf returns the arithmetic mean of xs (0 for empty input).
-func MeanOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }

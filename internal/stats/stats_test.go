@@ -230,57 +230,6 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestMeanOf(t *testing.T) {
-	if MeanOf([]float64{1, 2, 3}) != 2 {
-		t.Fatal("MeanOf wrong")
-	}
-	if MeanOf(nil) != 0 {
-		t.Fatal("MeanOf(nil) != 0")
-	}
-}
-
-func TestHistogramCDF(t *testing.T) {
-	h := NewHistogram()
-	for i := 1; i <= 1000; i++ {
-		h.Add(float64(i))
-	}
-	cdf := h.CDF(20)
-	if len(cdf) == 0 {
-		t.Fatal("empty CDF")
-	}
-	prevV, prevC := -1.0, -1.0
-	for _, p := range cdf {
-		if p.Value < prevV || p.Cumulative < prevC {
-			t.Fatalf("CDF not monotone: %+v", cdf)
-		}
-		prevV, prevC = p.Value, p.Cumulative
-	}
-	last := cdf[len(cdf)-1]
-	if last.Cumulative != 1 || last.Value != 1000 {
-		t.Fatalf("CDF endpoint = %+v", last)
-	}
-	// Median point near 500.
-	for _, p := range cdf {
-		if p.Cumulative >= 0.5 {
-			if p.Value < 400 || p.Value > 600 {
-				t.Fatalf("median CDF point = %+v", p)
-			}
-			break
-		}
-	}
-}
-
-func TestHistogramCDFEmpty(t *testing.T) {
-	h := NewHistogram()
-	if h.CDF(10) != nil {
-		t.Fatal("empty histogram CDF not nil")
-	}
-	h.Add(5)
-	if h.CDF(0) != nil {
-		t.Fatal("zero points CDF not nil")
-	}
-}
-
 // TestHistogramReset pins that a reset histogram records exactly like a
 // fresh one (same buckets, same quantiles) without reallocating buckets.
 func TestHistogramReset(t *testing.T) {

@@ -6,87 +6,6 @@ import (
 	"testing"
 )
 
-// TestHistogramMergeEqualsReplay pins Merge's contract: merging o into h
-// is indistinguishable from replaying o's samples into h.
-func TestHistogramMergeEqualsReplay(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	a := NewHistogram()
-	b := NewHistogram()
-	replay := NewHistogram()
-	for i := 0; i < 500; i++ {
-		va := math.Exp(rng.Float64() * 12) // span sub-1 to ~160K
-		vb := rng.Float64() * 900
-		a.Add(va)
-		b.Add(vb)
-		replay.Add(va)
-		replay.Add(vb)
-	}
-	merged := NewHistogram()
-	merged.Merge(a)
-	merged.Merge(b)
-	if merged.Count() != replay.Count() {
-		t.Fatalf("merge count %d, replay %d", merged.Count(), replay.Count())
-	}
-	// Sums accumulate in different orders (totals vs per-sample), so the
-	// mean is exact only up to float addition reassociation.
-	if math.Abs(merged.Mean()-replay.Mean()) > 1e-9*math.Abs(replay.Mean()) {
-		t.Fatalf("merge mean %v, replay %v", merged.Mean(), replay.Mean())
-	}
-	if merged.Min() != replay.Min() || merged.Max() != replay.Max() {
-		t.Fatalf("merge min/max %v/%v, replay %v/%v",
-			merged.Min(), merged.Max(), replay.Min(), replay.Max())
-	}
-	for _, q := range []float64{0, 0.1, 0.5, 0.9, 0.99, 0.999, 1} {
-		if mq, rq := merged.Quantile(q), replay.Quantile(q); mq != rq {
-			t.Errorf("q%g: merged %v != replayed %v", q, mq, rq)
-		}
-	}
-}
-
-// TestHistogramMergeScaled pins the weighted merge: MergeScaled(o, k)
-// equals k plain merges, and zero-count/nil/zero-times merges are no-ops.
-func TestHistogramMergeScaled(t *testing.T) {
-	o := NewHistogram()
-	for _, v := range []float64{3, 17, 250, 9000} {
-		o.Add(v)
-	}
-	scaled := NewHistogram()
-	scaled.MergeScaled(o, 5)
-	looped := NewHistogram()
-	for i := 0; i < 5; i++ {
-		looped.Merge(o)
-	}
-	if scaled.Count() != looped.Count() || scaled.Mean() != looped.Mean() {
-		t.Fatalf("scaled count/mean %d/%v, looped %d/%v",
-			scaled.Count(), scaled.Mean(), looped.Count(), looped.Mean())
-	}
-	for _, q := range []float64{0.25, 0.5, 0.95} {
-		if sq, lq := scaled.Quantile(q), looped.Quantile(q); sq != lq {
-			t.Errorf("q%g: scaled %v != looped %v", q, sq, lq)
-		}
-	}
-	before := scaled.Count()
-	scaled.Merge(nil)
-	scaled.Merge(NewHistogram())
-	scaled.MergeScaled(o, 0)
-	if scaled.Count() != before {
-		t.Error("no-op merges changed the histogram")
-	}
-}
-
-// TestHistogramMergeGeometryPanic pins the geometry guard.
-func TestHistogramMergeGeometryPanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("merging mismatched geometries did not panic")
-		}
-	}()
-	o := NewHistogram()
-	o.Add(1)
-	var zero Histogram // subBuckets 0: a different geometry
-	zero.Merge(o)
-}
-
 // TestWeightedSeriesMatchesSortedSeries is the exactness contract the
 // class-collapsed fleet collector relies on: a WeightedSeries answers
 // every quantile bit-for-bit like a SortedSeries over the expanded

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/sim"
 	"repro/internal/snapbuf"
 )
 
@@ -49,12 +48,6 @@ func Speedup(s, fRef, f float64) float64 {
 		return 1e-6
 	}
 	return sp
-}
-
-// ScaleServiceTime converts a service demand calibrated at fRef into the
-// duration at frequency f under scalability s.
-func ScaleServiceTime(d sim.Time, s, fRef, f float64) sim.Time {
-	return sim.Time(float64(d) / Speedup(s, fRef, f))
 }
 
 // ScalabilityPercent computes the Fig. 8(d) metric: the relative
@@ -146,14 +139,6 @@ func (b *Budget) Stored() float64 { return b.storedJ }
 
 // BoostAllowed reports whether Turbo frequency may be used right now.
 func (b *Budget) BoostAllowed() bool { return b.storedJ > 0 }
-
-// FillFraction returns stored/capacity in [0,1].
-func (b *Budget) FillFraction() float64 {
-	if b.CapacityJ <= 0 {
-		return 0
-	}
-	return b.storedJ / b.CapacityJ
-}
 
 // CorePower interpolates per-core C0 power between the Pn and Turbo
 // frequency points. Calibrated so that P(0.8 GHz) = 1 W and

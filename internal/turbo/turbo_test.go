@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/sim"
 )
 
 func TestFreqPlanValidate(t *testing.T) {
@@ -37,18 +35,6 @@ func TestSpeedup(t *testing.T) {
 	}
 }
 
-func TestScaleServiceTime(t *testing.T) {
-	d := 10 * sim.Microsecond
-	// Fully scalable at half frequency takes twice as long.
-	if got := ScaleServiceTime(d, 1, 2e9, 1e9); got != 20*sim.Microsecond {
-		t.Fatalf("scaled = %v", got)
-	}
-	// Turbo shortens.
-	if got := ScaleServiceTime(d, 0.45, 2.2e9, 3.0e9); got >= d {
-		t.Fatal("turbo did not shorten service")
-	}
-}
-
 func TestScalabilityPercent(t *testing.T) {
 	// perf +4.5% for freq +10% => scalability 45%.
 	got := ScalabilityPercent(100, 104.5, 2.0e9, 2.2e9)
@@ -62,7 +48,7 @@ func TestScalabilityPercent(t *testing.T) {
 
 func TestBudgetChargeAndDrain(t *testing.T) {
 	b := NewBudget(100, 50)
-	if !b.BoostAllowed() || b.FillFraction() != 1 {
+	if !b.BoostAllowed() || b.Stored() != b.CapacityJ {
 		t.Fatal("budget must start full")
 	}
 	// 1s at 150W (50W over): drains 50J -> empty.

@@ -48,9 +48,6 @@ func (s *KVService) Sample(r *xrand.Rand) sim.Time {
 	return s.store.NextAccess(r).Demand
 }
 
-// HitRatio exposes the underlying cache's cumulative GET hit ratio.
-func (s *KVService) HitRatio() float64 { return s.store.HitRatio() }
-
 // MemcachedETC returns the high-fidelity Memcached profile: identical
 // arrival process, network and scalability to Memcached(), but with
 // service demands generated by the live ETC key-value store model

@@ -55,10 +55,11 @@ var rebuiltFields = map[string]string{
 	"server.packedDispatch.cap":         "construction input",
 	"sim.Engine.table":                  "handlers newKinds registers",
 	"sim.Engine.free":                   "recycled event structs",
-	"sim.Engine.batch":                  "same-instant drain scratch",
+	"sim.Engine.buf":                    "queue slots: the pending events are encoded in (when, seq) order",
+	"sim.Engine.head":                   "queue window: only the pending events and their order are state",
+	"sim.Engine.tail":                   "queue window: only the pending events and their order are state",
 	"sim.Event.fn":                      "closure events are refused at capture",
-	"sim.Event.index":                   "heap position; events are encoded in pop order",
-	"sim.Event.canceled":                "a canceled event leaves the queue",
+	"sim.Event.queued":                  "set exactly while the event is in the encoded queue",
 	"cstate.Machine.catalog":            "construction input",
 	"governor.MenuGovernor.catalog":     "construction input",
 	"governor.StaticGovernor.catalog":   "construction input",

@@ -41,12 +41,12 @@ func TestCancel(t *testing.T) {
 	fired := false
 	ev := e.Schedule(10, func(Time) { fired = true })
 	e.Cancel(ev)
+	if e.Pending() != 0 {
+		t.Fatal("canceled event still pending")
+	}
 	e.Run()
 	if fired {
 		t.Fatal("canceled event fired")
-	}
-	if !ev.Canceled() {
-		t.Fatal("event not marked canceled")
 	}
 	// Double cancel must be a no-op.
 	e.Cancel(ev)

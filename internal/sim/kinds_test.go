@@ -59,7 +59,7 @@ func TestCancelKindEvent(t *testing.T) {
 	}
 }
 
-// --- Same-timestamp batch drain ---------------------------------------------
+// --- Same-instant ordering and cancellation --------------------------------
 
 // A handler that schedules another event at the same instant must see it
 // fire after the already queued same-instant events (sequence order).
@@ -84,8 +84,8 @@ func TestBatchMergePreservesTotalOrder(t *testing.T) {
 	}
 }
 
-// Canceling a same-instant event from an earlier handler in the batch
-// must suppress it even though it was already dequeued.
+// Canceling a same-instant event from an earlier handler at that
+// instant must suppress it.
 func TestCancelWithinBatch(t *testing.T) {
 	e := NewEngine()
 	var victim *Event
